@@ -43,14 +43,6 @@ type Config struct {
 
 	Workers int // >1 trains with the parallel GAS sampler
 
-	// Chromatic selects the chromatic GAS scheduler instead of the
-	// synchronous engine when Workers > 1 (GraphLab's edge-consistency
-	// model; see internal/gas). It is the default: the chromatic engine
-	// merges worker deltas at colour-batch boundaries, so later batches
-	// sample against fresher counters — closer to the serial chain at
-	// identical cost. Disable to get one snapshot per whole superstep.
-	Chromatic bool
-
 	Seed uint64 // RNG seed; same seed ⇒ identical training run
 }
 
@@ -66,7 +58,6 @@ func DefaultConfig(c, k int) Config {
 		UseLinks:      true,
 		NegCorrection: true,
 		Workers:       1,
-		Chromatic:     true,
 		Seed:          1,
 	}
 }

@@ -60,13 +60,16 @@ func (st *state) sweep(r *rng.RNG) {
 
 // sweepAlternating is the paper's literal schedule: Eq. (1) then Eq. (3)
 // per post, one coordinate at a time. It targets the same posterior as
-// the blocked sweep (the exactness test checks both) but mixes slower;
-// kept for reference and ablation.
+// the blocked sweep (the exactness test checks both) but mixes slower.
+// Its post kernel is the one the sharded sampler runs, so the
+// exactness test pins that kernel to the enumerated posterior.
 func (st *state) sweepAlternating(r *rng.RNG) {
 	d := st.ensureDerived()
 	for j := range st.data.Posts {
-		st.samplePostCommunity(j, r, d)
-		st.samplePostTopic(j, r, d)
+		c, z := st.samplePostAlternating(j, r, d.scr.wc, d.scr.wk)
+		st.removePost(j)
+		st.c[j], st.z[j] = c, z
+		st.addPost(j)
 	}
 	if st.cfg.UseLinks {
 		for l := range st.data.Links {
@@ -237,113 +240,218 @@ func (st *state) postJointWeightsLog(j int, d *derived) (total float64) {
 	return total
 }
 
-// samplePostCommunity resamples c_ij from Eq. (1), conditioned on the
-// post's current topic. The first factor's denominator n_i^{(·)}+Cρ is
-// constant in c and dropped.
-func (st *state) samplePostCommunity(j int, r *rng.RNG, d *derived) {
-	st.removePost(j)
-	p := &st.data.Posts[j]
-	k, t := st.z[j], p.Time
-	K := st.cfg.K
-	alpha, eps, rho := st.cfg.Alpha, st.cfg.Epsilon, st.cfg.Rho
-	user := st.nIC[p.User]
-	weights := d.scr.wc
+// samplePostAlternating is the paper's literal post step: c_ij from
+// Eq. (1) given the post's current topic, then z_ij from Eq. (3) given
+// the fresh community. It reads the counters with post j still
+// registered at (st.c[j], st.z[j]) and excludes the post's own
+// contribution arithmetically, so it needs no remove/add and runs
+// against a read-only snapshot: the sharded sampler calls it between
+// merge boundaries, the serial alternating sweep before its remove/add.
+// It returns the new (c, z) and leaves the state untouched. Like the
+// joint kernel it evaluates the word term in the linear domain and
+// falls back to the log-domain reference on underflow. wc and wk are
+// C- and K-sized scratch.
+func (st *state) samplePostAlternating(j int, r *rng.RNG, wc, wk []float64) (newC, newZ int) {
+	d := st.dv
+	C, K := st.cfg.C, st.cfg.K
+	alpha, eps, rho, beta := st.cfg.Alpha, st.cfg.Epsilon, st.cfg.Rho, st.cfg.Beta
+	post := &st.data.Posts[j]
+	user := st.nIC[post.User]
+	t := post.Time
+	oldC, oldZ := st.c[j], st.z[j]
+
+	// Eq. (1): resample the community given the current topic.
+	k := oldZ
 	total := 0.0
-	for c := 0; c < st.cfg.C; c++ {
+	for c := 0; c < C; c++ {
 		ck := c*K + k
-		w := (float64(user[c]) + rho) *
-			(float64(st.nCK[c][k]) + alpha) * d.invCK[c] *
-			(float64(st.nCKT[ck][t]) + eps) * d.invCKT[ck]
-		weights[c] = w
+		nIC := float64(user[c])
+		nCK := float64(st.nCK[c][k])
+		nCKT := float64(st.nCKT[ck][t])
+		ic := d.invCK[c]
+		it := d.invCKT[ck]
+		if c == oldC { // the post occupies this cell in the snapshot
+			nIC--
+			nCK--
+			nCKT--
+			ic = 1 / (d.denomCK[c] - 1)
+			it = 1 / (d.denomCKT[ck] - 1)
+		}
+		w := (nIC + rho) * (nCK + alpha) * ic * (nCKT + eps) * it
+		wc[c] = w
 		total += w
 	}
-	st.c[j] = r.CategoricalTotal(weights, total)
-	st.addPost(j)
-}
+	newC = r.CategoricalTotal(wc, total)
 
-// samplePostTopic resamples z_ij from Eq. (3), conditioned on the post's
-// current community. It shares the factored word term with the joint
-// kernel: linear domain with the same underflow fallback.
-func (st *state) samplePostTopic(j int, r *rng.RNG, d *derived) {
-	st.removePost(j)
-	p := st.postRefAt(j)
-	c, t := st.c[j], p.time
-	K := st.cfg.K
-	alpha, eps := st.cfg.Alpha, st.cfg.Epsilon
-	weights := d.scr.wk
-	wordW := d.scr.wordW
-	total := 0.0
-	ok := st.wordFactorsFast(&p, d)
-	if ok {
+	// Eq. (3): resample the topic given the fresh community.
+	nTokens := post.Words.Len()
+	ids, counts := post.Words.IDs, post.Words.Counts
+	ckBase := newC * K
+	fast := nTokens <= fastTokenCap
+	if fast {
+		maxW := 0.0
+		total = 0
 		for k := 0; k < K; k++ {
-			ck := c*K + k
-			w := wordW[k] * (float64(st.nCK[c][k]) + alpha) *
-				(float64(st.nCKT[ck][t]) + eps) * d.invCKT[ck]
-			weights[k] = w
+			ck := ckBase + k
+			nCK := float64(st.nCK[newC][k])
+			nCKT := float64(st.nCKT[ck][t])
+			it := d.invCKT[ck]
+			if newC == oldC && k == oldZ {
+				nCK--
+				nCKT--
+				it = 1 / (d.denomCKT[ck] - 1)
+			}
+			ownWords := k == oldZ
+			base := d.denomKV[k]
+			if ownWords {
+				base -= float64(nTokens)
+			}
+			row := st.nKV[k]
+			num := 1.0
+			for i, v := range ids {
+				nv := float64(row[v]) + beta
+				if ownWords {
+					nv -= float64(counts[i])
+				}
+				for q := 0; q < counts[i]; q++ {
+					num *= nv + float64(q)
+				}
+			}
+			den := 1.0
+			for q := 0; q < nTokens; q++ {
+				den *= base + float64(q)
+			}
+			w := num / den
+			if w > maxW {
+				maxW = w
+			}
+			// nCKTSum for a cell equals nCK (one stamp per post).
+			w *= (nCK + alpha) * (nCKT + eps) * it
+			wk[k] = w
 			total += w
 		}
-		if !(total > 0) || math.IsInf(total, 1) {
-			ok = false
+		if maxW < wordUnderflowFloor || !(total > 0) || math.IsInf(total, 1) {
+			fast = false
 		}
 	}
-	if !ok {
-		st.wordTermsLog(&p, d)
+	if !fast {
 		maxLog := math.Inf(-1)
 		for k := 0; k < K; k++ {
-			ck := c*K + k
-			lw := wordW[k] + math.Log(float64(st.nCK[c][k])+alpha)
-			lw += tableLog(d.logEps, st.nCKT[ck][t], eps) - math.Log(d.denomCKT[ck])
-			weights[k] = lw
+			ck := ckBase + k
+			nCK := float64(st.nCK[newC][k])
+			nCKT := float64(st.nCKT[ck][t])
+			den := d.denomCKT[ck]
+			if newC == oldC && k == oldZ {
+				nCK--
+				nCKT--
+				den--
+			}
+			lw := math.Log(nCK+alpha) + math.Log(nCKT+eps) - math.Log(den)
+			ownWords := k == oldZ
+			base := d.denomKV[k]
+			if ownWords {
+				base -= float64(nTokens)
+			}
+			row := st.nKV[k]
+			for i, v := range ids {
+				nv := float64(row[v]) + beta
+				if ownWords {
+					nv -= float64(counts[i])
+				}
+				for q := 0; q < counts[i]; q++ {
+					lw += math.Log(nv + float64(q))
+				}
+			}
+			for q := 0; q < nTokens; q++ {
+				lw -= math.Log(base + float64(q))
+			}
+			wk[k] = lw
 			if lw > maxLog {
 				maxLog = lw
 			}
 		}
 		total = 0
 		for k := 0; k < K; k++ {
-			w := math.Exp(weights[k] - maxLog)
-			weights[k] = w
+			w := math.Exp(wk[k] - maxLog)
+			wk[k] = w
 			total += w
 		}
 	}
-	st.z[j] = r.CategoricalTotal(weights, total)
-	st.addPost(j)
+	newZ = r.CategoricalTotal(wk, total)
+	return newC, newZ
 }
 
-// sampleLink resamples the two community indicators of positive link l.
-// Eq. (2) defines the joint conditional over the pair; we draw each
-// endpoint from its exact conditional given the other (a standard
-// decomposition of the joint Gibbs step that keeps the cost O(C) per
-// endpoint instead of O(C²) per link).
+// sampleLink resamples the two community indicators of positive link l
+// with the link kernel and registers the result.
 func (st *state) sampleLink(l int, r *rng.RNG, weights []float64) {
+	a, b := st.drawLink(l, r, weights)
 	st.removeLink(l)
-	e := st.data.Links[l]
-	rho := st.cfg.Rho
-	l1 := st.cfg.Lambda1
-
-	// Source endpoint s given s'.
-	b := st.sp[l]
-	from := st.nIC[e.From]
-	total := 0.0
-	for c := 0; c < st.cfg.C; c++ {
-		n := float64(st.nCC[c][b])
-		w := (float64(from[c]) + rho) * (n + l1) / (n + st.negMass(c, b) + l1)
-		weights[c] = w
-		total += w
-	}
-	st.s[l] = r.CategoricalTotal(weights, total)
-
-	// Destination endpoint s' given the fresh s.
-	a := st.s[l]
-	to := st.nIC[e.To]
-	total = 0.0
-	for c := 0; c < st.cfg.C; c++ {
-		n := float64(st.nCC[a][c])
-		w := (float64(to[c]) + rho) * (n + l1) / (n + st.negMass(a, c) + l1)
-		weights[c] = w
-		total += w
-	}
-	st.sp[l] = r.CategoricalTotal(weights, total)
+	st.s[l], st.sp[l] = a, b
 	st.addLink(l)
+}
+
+// drawLink is the link kernel of both samplers. Eq. (2) defines the
+// joint conditional over the endpoint pair; we draw each endpoint from
+// its exact conditional given the other (a standard decomposition of
+// the joint Gibbs step that keeps the cost O(C) per endpoint instead of
+// O(C²) per link): the source s given s', then s' given the fresh s. It
+// returns the new pair and leaves the state untouched. weights is
+// C-sized scratch.
+func (st *state) drawLink(l int, r *rng.RNG, weights []float64) (s, sp int) {
+	s = r.CategoricalTotal(weights, st.linkWeights(l, true, st.sp[l], weights))
+	sp = r.CategoricalTotal(weights, st.linkWeights(l, false, s, weights))
+	return s, sp
+}
+
+// linkWeights fills weights with the Eq. (2) conditional of one endpoint
+// of link l over the C communities and returns their sum: the source
+// endpoint given destination community other when source is set, else
+// the destination endpoint given source community other. The counters
+// still hold link l at (st.s[l], st.sp[l]); its own contribution to
+// nIC, nCC, nSC and nDC is excluded in integer arithmetic, so the
+// weights equal a remove-evaluate-add bit for bit and the sharded
+// sampler can evaluate them against its read-only snapshot.
+func (st *state) linkWeights(l int, source bool, other int, weights []float64) float64 {
+	e := st.data.Links[l]
+	oldA, oldB := st.s[l], st.sp[l]
+	rho, l1 := st.cfg.Rho, st.cfg.Lambda1
+	total := 0.0
+	if source { // pairs (c, b)
+		row, b := st.nIC[e.From], other
+		dst := st.nDC[b]
+		pairOwn := 0
+		if b == oldB {
+			dst, pairOwn = dst-1, 1
+		}
+		for c := range weights {
+			nIC, n, src := row[c], st.nCC[c][b], st.nSC[c]
+			if c == oldA {
+				nIC, n, src = nIC-1, n-pairOwn, src-1
+			}
+			fn := float64(n)
+			w := (float64(nIC) + rho) * (fn + l1) / (fn + st.negMassCounts(src, dst) + l1)
+			weights[c] = w
+			total += w
+		}
+		return total
+	}
+	row, a := st.nIC[e.To], other // pairs (a, c)
+	src := st.nSC[a]
+	pairOwn := 0
+	if a == oldA {
+		src, pairOwn = src-1, 1
+	}
+	for c := range weights {
+		nIC, n, dst := row[c], st.nCC[a][c], st.nDC[c]
+		if c == oldB {
+			nIC, n, dst = nIC-1, n-pairOwn, dst-1
+		}
+		fn := float64(n)
+		w := (float64(nIC) + rho) * (fn + l1) / (fn + st.negMassCounts(src, dst) + l1)
+		weights[c] = w
+		total += w
+	}
+	return total
 }
 
 // logLikelihood returns the (unnormalised) training data log-likelihood

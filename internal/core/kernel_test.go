@@ -161,3 +161,67 @@ func TestSampleLinkZeroAllocs(t *testing.T) {
 		t.Fatalf("sampleLink allocates %.2f objects per link, want 0", avg)
 	}
 }
+
+// TestLinkKernelMatchesSerialConditional pins the link kernel's
+// self-exclusion. The sharded sampler evaluates Eq. (2) with the link
+// still registered in its snapshot; on a fresh small-preset state with
+// NegCorrection on, the kernel's normalised source and destination
+// weights must equal, bit for bit, those of the serial path that
+// removes the link, evaluates the conditional on the bare counters and
+// adds it back. Every conditioning community is tried, so the
+// destination pass is covered for a fresh source community too.
+func TestLinkKernelMatchesSerialConditional(t *testing.T) {
+	sc := synth.Small(21)
+	data, _, err := synth.Generate(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(sc.C, sc.K).withDefaults()
+	if !cfg.NegCorrection || len(data.Links) == 0 {
+		t.Fatal("want NegCorrection on and a linked preset")
+	}
+	st := newState(data, cfg, rng.New(7))
+	C := cfg.C
+	got := make([]float64, C)
+	want := make([]float64, C)
+	// reference is the serial remove-evaluate-add conditional.
+	reference := func(l int, source bool, other int) float64 {
+		e := data.Links[l]
+		st.removeLink(l)
+		defer st.addLink(l)
+		total := 0.0
+		for c := 0; c < C; c++ {
+			a, b, user := c, other, e.From
+			if !source {
+				a, b, user = other, c, e.To
+			}
+			n := float64(st.nCC[a][b])
+			w := (float64(st.nIC[user][c]) + cfg.Rho) * (n + cfg.Lambda1) / (n + st.negMass(a, b) + cfg.Lambda1)
+			want[c] = w
+			total += w
+		}
+		return total
+	}
+	worst := 0.0
+	for l := range data.Links {
+		for _, source := range []bool{true, false} {
+			for other := 0; other < C; other++ {
+				gotTotal := st.linkWeights(l, source, other, got)
+				wantTotal := reference(l, source, other)
+				for c := range got {
+					g, w := got[c]/gotTotal, want[c]/wantTotal
+					if rel := math.Abs(g-w) / w; rel > worst {
+						worst = rel
+					}
+					if g != w {
+						t.Errorf("link %d source=%v other=%d community %d: kernel %.17g, serial %.17g",
+							l, source, other, c, g, w)
+					}
+				}
+			}
+		}
+		if t.Failed() {
+			t.Fatalf("worst relative difference %.3g", worst)
+		}
+	}
+}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"github.com/cold-diffusion/cold/internal/corpus"
@@ -15,17 +14,16 @@ import (
 // a user–time edge holding the posts that user published in that slice,
 // and user–user edges carrying the link community indicators.
 //
-// Unlike the first cut of this file, the program is *incremental* in
-// the GraphLab sense: it owns one full serial `state` (the same counter
-// matrices and derived float caches the serial sampler uses) as the
-// shared snapshot, and workers buffer their count adjustments in sparse
-// per-worker deltas that merge back into that state at batch
-// boundaries — O(entries touched), never O(C·K + K·V). There is no
-// gather/apply phase and no per-sweep counter rebuild: between merges
-// the state is read-only, and each merge refreshes exactly the derived
-// cache entries whose counters moved.
+// The program is *incremental* in the GraphLab sense: it owns one full
+// serial `state` (the same counter matrices and derived float caches
+// the serial sampler uses) as the shared snapshot, and workers buffer
+// their count adjustments in sparse per-worker deltas that merge back
+// into that state at batch boundaries — O(entries touched), never
+// O(C·K + K·V). There is no gather/apply phase and no per-sweep counter
+// rebuild: between merges the state is read-only, and each merge
+// refreshes exactly the derived cache entries whose counters moved.
 //
-// Determinism does not depend on the worker count. The engines cut the
+// Determinism does not depend on the worker count. The engine cuts the
 // scatter order into token-mass-balanced shards as a function of the
 // graph alone, and every shard carries its own RNG stream seeded from
 // (cfg.Seed, shard id). Whichever worker executes a shard draws the
@@ -34,12 +32,6 @@ import (
 // sampled chain — and the final model, bit for bit — is identical for
 // workers ∈ {1, 2, 4, 8, ...}. The 1-worker execution of this schedule
 // doubles as the canonical "serial" reference in the determinism tests.
-
-type coldVD struct{}
-
-// coldAcc is the (unused) gather accumulator: the program is
-// incremental, so the engines never run gather/apply.
-type coldAcc = struct{}
 
 type coldED struct {
 	link  int32   // link index, or -1 for a user–time edge
@@ -91,11 +83,6 @@ type coldProgram struct {
 	shardRNG []*rng.RNG
 }
 
-// Incremental declares that the program maintains all vertex-adjacent
-// state itself (nIC lives in st and is updated at merge boundaries), so
-// the engines skip gather/apply entirely.
-func (p *coldProgram) Incremental() bool { return true }
-
 func (p *coldProgram) NewCtx(worker int) *coldCtx {
 	cfg, data := p.cfg, p.data
 	return &coldCtx{
@@ -113,25 +100,11 @@ func (p *coldProgram) NewCtx(worker int) *coldCtx {
 	}
 }
 
-// Gather, Sum and Apply are never called: the program is incremental,
-// so the engines skip the gather/apply phase.
-func (p *coldProgram) Gather(*gas.Graph[coldVD, coldED], int32, *gas.Edge[coldED]) coldAcc {
-	return coldAcc{}
-}
-func (p *coldProgram) Sum(a, _ coldAcc) coldAcc                               { return a }
-func (p *coldProgram) Apply(*gas.Graph[coldVD, coldED], int32, coldAcc, bool) {}
-
-// Scatter is unreachable: the engines always drive ScatterShard for
-// programs implementing gas.ShardScatterer.
-func (p *coldProgram) Scatter(*gas.Graph[coldVD, coldED], int32, *gas.Edge[coldED], *coldCtx) {
-	panic("core: coldProgram.Scatter called; engines must use ScatterShard")
-}
-
 // EdgeWeight estimates one edge's scatter cost for token-mass shard
 // balancing: each post pays an Eq. (1) pass over C communities plus an
 // Eq. (3) pass dominated by ~K multiplies per token; a link pays two
 // O(C) endpoint passes.
-func (p *coldProgram) EdgeWeight(g *gas.Graph[coldVD, coldED], eid int32, e *gas.Edge[coldED]) int64 {
+func (p *coldProgram) EdgeWeight(g *gas.Graph[coldED], eid int32, e *gas.Edge[coldED]) int64 {
 	if e.Data.link >= 0 {
 		return int64(2 * p.cfg.C)
 	}
@@ -145,7 +118,7 @@ func (p *coldProgram) EdgeWeight(g *gas.Graph[coldVD, coldED], eid int32, e *gas
 // ScatterShard resamples every assignment carried by the shard's edges
 // (lines 19–26 of Alg 2) using the shard's own RNG stream. beat is
 // ticked once per edge for the stall supervisor.
-func (p *coldProgram) ScatterShard(g *gas.Graph[coldVD, coldED], shard int, edges []int32, ctx *coldCtx, beat *gas.Beat) {
+func (p *coldProgram) ScatterShard(g *gas.Graph[coldED], shard int, edges []int32, ctx *coldCtx, beat *gas.Beat) {
 	r := p.shardRNG[shard]
 	for _, eid := range edges {
 		if !beat.Next() {
@@ -160,150 +133,24 @@ func (p *coldProgram) ScatterShard(g *gas.Graph[coldVD, coldED], shard int, edge
 	}
 }
 
-// scatterPosts resamples the posts of one user–time edge with the PR 4
-// factored linear-domain kernel, reading the shared state's counters
-// and derived caches as of the last merge boundary. The post's own
-// contribution is excluded arithmetically (the snapshot twin of the
-// serial kernel's remove/add), falling back to the log-domain reference
-// on underflow exactly like the serial sampler.
+// scatterPosts resamples the posts of one user–time edge with the
+// alternating post kernel, reading the shared state's counters and
+// derived caches as of the last merge boundary, and records the moves
+// as sparse deltas against that snapshot.
 func (p *coldProgram) scatterPosts(e *gas.Edge[coldED], ctx *coldCtx, r *rng.RNG) {
-	st, cfg := p.st, p.cfg
-	d := st.dv
-	C, K, T, V := cfg.C, cfg.K, p.data.T, p.data.V
-	alpha, eps, rho, beta := cfg.Alpha, cfg.Epsilon, cfg.Rho, cfg.Beta
-	user := st.nIC[int(e.Src)]
-	t := int(e.Dst) - p.data.U
+	st := p.st
+	C, K, T, V := p.cfg.C, p.cfg.K, p.data.T, p.data.V
+	u, t := int(e.Src), int(e.Dst)-p.data.U
 
 	for _, j32 := range e.Data.posts {
 		j := int(j32)
-		post := &p.data.Posts[j]
 		oldC, oldZ := st.c[j], st.z[j]
-		oldCK := oldC*K + oldZ
-
-		// Eq. (1): resample the community given the current topic.
-		k := oldZ
-		total := 0.0
-		for c := 0; c < C; c++ {
-			ck := c*K + k
-			nIC := float64(user[c])
-			nCK := float64(st.nCK[c][k])
-			nCKT := float64(st.nCKT[ck][t])
-			ic := d.invCK[c]
-			it := d.invCKT[ck]
-			if c == oldC { // the post occupies this cell in the snapshot
-				nIC--
-				nCK--
-				nCKT--
-				ic = 1 / (d.denomCK[c] - 1)
-				it = 1 / (d.denomCKT[ck] - 1)
-			}
-			w := (nIC + rho) * (nCK + alpha) * ic * (nCKT + eps) * it
-			ctx.wc[c] = w
-			total += w
-		}
-		newC := r.CategoricalTotal(ctx.wc, total)
-		st.c[j] = newC
-
-		// Eq. (3): resample the topic given the fresh community.
-		nTokens := post.Words.Len()
-		ids, counts := post.Words.IDs, post.Words.Counts
-		ckBase := newC * K
-		fast := nTokens <= fastTokenCap
-		if fast {
-			maxW := 0.0
-			total = 0
-			for k := 0; k < K; k++ {
-				ck := ckBase + k
-				nCK := float64(st.nCK[newC][k])
-				nCKT := float64(st.nCKT[ck][t])
-				it := d.invCKT[ck]
-				if newC == oldC && k == oldZ {
-					nCK--
-					nCKT--
-					it = 1 / (d.denomCKT[ck] - 1)
-				}
-				ownWords := k == oldZ
-				base := d.denomKV[k]
-				if ownWords {
-					base -= float64(nTokens)
-				}
-				row := st.nKV[k]
-				num := 1.0
-				for i, v := range ids {
-					nv := float64(row[v]) + beta
-					if ownWords {
-						nv -= float64(counts[i])
-					}
-					for q := 0; q < counts[i]; q++ {
-						num *= nv + float64(q)
-					}
-				}
-				den := 1.0
-				for q := 0; q < nTokens; q++ {
-					den *= base + float64(q)
-				}
-				w := num / den
-				if w > maxW {
-					maxW = w
-				}
-				// nCKTSum for a cell equals nCK (one stamp per post).
-				w *= (nCK + alpha) * (nCKT + eps) * it
-				ctx.wk[k] = w
-				total += w
-			}
-			if maxW < wordUnderflowFloor || !(total > 0) || math.IsInf(total, 1) {
-				fast = false
-			}
-		}
-		if !fast {
-			maxLog := math.Inf(-1)
-			for k := 0; k < K; k++ {
-				ck := ckBase + k
-				nCK := float64(st.nCK[newC][k])
-				nCKT := float64(st.nCKT[ck][t])
-				den := d.denomCKT[ck]
-				if newC == oldC && k == oldZ {
-					nCK--
-					nCKT--
-					den--
-				}
-				lw := math.Log(nCK+alpha) + math.Log(nCKT+eps) - math.Log(den)
-				ownWords := k == oldZ
-				base := d.denomKV[k]
-				if ownWords {
-					base -= float64(nTokens)
-				}
-				row := st.nKV[k]
-				for i, v := range ids {
-					nv := float64(row[v]) + beta
-					if ownWords {
-						nv -= float64(counts[i])
-					}
-					for q := 0; q < counts[i]; q++ {
-						lw += math.Log(nv + float64(q))
-					}
-				}
-				for q := 0; q < nTokens; q++ {
-					lw -= math.Log(base + float64(q))
-				}
-				ctx.wk[k] = lw
-				if lw > maxLog {
-					maxLog = lw
-				}
-			}
-			total = 0
-			for k := 0; k < K; k++ {
-				w := math.Exp(ctx.wk[k] - maxLog)
-				ctx.wk[k] = w
-				total += w
-			}
-		}
-		newZ := r.CategoricalTotal(ctx.wk, total)
-		st.z[j] = newZ
+		newC, newZ := st.samplePostAlternating(j, r, ctx.wc, ctx.wk)
+		st.c[j], st.z[j] = newC, newZ
 
 		// Record sparse deltas against the snapshot.
 		if newC != oldC || newZ != oldZ {
-			newCK := ckBase + newZ
+			oldCK, newCK := oldC*K+oldZ, newC*K+newZ
 			ctx.dNCK.add(oldCK, -1)
 			ctx.dNCK.add(newCK, 1)
 			ctx.dNCKT.add(oldCK*T+t, -1)
@@ -312,11 +159,13 @@ func (p *coldProgram) scatterPosts(e *gas.Edge[coldED], ctx *coldCtx, r *rng.RNG
 		if newC != oldC {
 			ctx.dNCKSum.add(oldC, -1)
 			ctx.dNCKSum.add(newC, 1)
-			uBase := int(e.Src) * C
+			uBase := u * C
 			ctx.dNIC.add(uBase+oldC, -1)
 			ctx.dNIC.add(uBase+newC, 1)
 		}
 		if newZ != oldZ {
+			words := &p.data.Posts[j].Words
+			ids, counts, nTokens := words.IDs, words.Counts, words.Len()
 			for i, v := range ids {
 				ctx.dNKV.add(oldZ*V+v, -int64(counts[i]))
 				ctx.dNKV.add(newZ*V+v, int64(counts[i]))
@@ -327,49 +176,13 @@ func (p *coldProgram) scatterPosts(e *gas.Edge[coldED], ctx *coldCtx, r *rng.RNG
 	}
 }
 
-// scatterLink resamples one link's endpoint pair via Eq. (2) against
-// the snapshot counters.
+// scatterLink resamples one link's endpoint pair with the link kernel
+// against the snapshot counters and records the move as sparse deltas.
 func (p *coldProgram) scatterLink(e *gas.Edge[coldED], ctx *coldCtx, r *rng.RNG) {
-	st, cfg := p.st, p.cfg
-	C := cfg.C
+	st, C := p.st, p.cfg.C
 	l := int(e.Data.link)
-	src := st.nIC[int(e.Src)]
-	dst := st.nIC[int(e.Dst)]
 	oldA, oldB := st.s[l], st.sp[l]
-	l1, rho := cfg.Lambda1, cfg.Rho
-
-	// Source endpoint given the destination's current community.
-	total := 0.0
-	for c := 0; c < C; c++ {
-		nIC := float64(src[c])
-		n := float64(st.nCC[c][oldB])
-		if c == oldA {
-			nIC--
-			n--
-		}
-		w := (nIC + rho) * (n + l1) / (n + st.negMass(c, oldB) + l1)
-		ctx.wc[c] = w
-		total += w
-	}
-	newA := r.CategoricalTotal(ctx.wc, total)
-
-	// Destination endpoint given the fresh source community.
-	total = 0
-	for c := 0; c < C; c++ {
-		nIC := float64(dst[c])
-		if c == oldB {
-			nIC--
-		}
-		n := float64(st.nCC[newA][c])
-		if newA == oldA && c == oldB {
-			n--
-		}
-		w := (nIC + rho) * (n + l1) / (n + st.negMass(newA, c) + l1)
-		ctx.wc[c] = w
-		total += w
-	}
-	newB := r.CategoricalTotal(ctx.wc, total)
-
+	newA, newB := st.drawLink(l, r, ctx.wc)
 	st.s[l], st.sp[l] = newA, newB
 	if newA != oldA || newB != oldB {
 		ctx.dNCC.add(oldA*C+oldB, -1)
@@ -395,9 +208,8 @@ func (p *coldProgram) scatterLink(e *gas.Edge[coldED], ctx *coldCtx, r *rng.RNG)
 // state — O(total entries touched) — and refreshes exactly the derived
 // cache entries whose underlying counters moved, so the caches stay
 // bit-identical to a from-scratch rebuild without ever paying for one.
-// The ChromaticEngine calls it at every batch boundary (later batches
-// then sample against fresh counters); Merge at superstep end folds the
-// final batch. Worker order is fixed (ctxs index order) but immaterial:
+// The engine calls it at every batch boundary, so later batches sample
+// against fresh counters. Worker order is fixed (ctxs index order) but immaterial:
 // the deltas are integer additions, which commute.
 func (p *coldProgram) MergeBoundary(ctxs []*coldCtx) {
 	st := p.st
@@ -506,28 +318,11 @@ func (p *coldProgram) MergeBoundary(ctxs []*coldCtx) {
 	}
 }
 
-// Merge folds any deltas still buffered after the last batch. With
-// boundary merging it is O(workers) — everything was already folded.
-func (p *coldProgram) Merge(ctxs []*coldCtx) { p.MergeBoundary(ctxs) }
-
-// coldEngine is the engine surface the parallel sampler needs: stepping
-// with contained panics, per-worker contexts, shard count for RNG
-// stream sizing, and scatter timing for the bench layer.
-type coldEngine interface {
-	Step() error
-	Ctxs() []*coldCtx
-	SetMetrics(*gas.Metrics)
-	SetStallPolicy(*gas.StallPolicy)
-	NumShards() int
-	Stats() gas.EngineStats
-	ResetStats()
-}
-
 // parallelSampler adapts the GAS sampler (cfg.Workers goroutine workers
 // standing in for GraphLab nodes) to the runtime's sweeper interface.
 type parallelSampler struct {
 	prog   *coldProgram
-	engine coldEngine
+	engine *gas.Engine[coldED, *coldCtx]
 	r      *rng.RNG // main stream; only consumed during initialisation
 }
 
@@ -537,8 +332,8 @@ type parallelSampler struct {
 // user's nIC row stays hot inside one worker, followed by the link
 // edges in dataset order. The order — and therefore the shard plan and
 // the sampled chain — is a pure function of the dataset.
-func buildColdGraph(data *corpus.Dataset, cfg Config) *gas.Graph[coldVD, coldED] {
-	g := gas.NewGraph[coldVD, coldED](make([]coldVD, data.U+data.T))
+func buildColdGraph(data *corpus.Dataset, cfg Config) *gas.Graph[coldED] {
+	g := gas.NewGraph[coldED](data.U + data.T)
 	order := make([]int32, len(data.Posts))
 	for j := range order {
 		order[j] = int32(j)
@@ -589,13 +384,7 @@ func newParallelSampler(data *corpus.Dataset, cfg Config, resume *Checkpoint, gm
 	st.ensureDerived()
 	prog := &coldProgram{cfg: cfg, data: data, st: st}
 
-	g := buildColdGraph(data, cfg)
-	var engine coldEngine
-	if cfg.Chromatic {
-		engine = gas.NewChromaticEngine[coldVD, coldED, coldAcc, *coldCtx](g, prog, cfg.Workers)
-	} else {
-		engine = gas.NewEngine[coldVD, coldED, coldAcc, *coldCtx](g, prog, cfg.Workers)
-	}
+	engine := gas.NewEngine[coldED, *coldCtx](buildColdGraph(data, cfg), prog, cfg.Workers)
 	prog.shardRNG = make([]*rng.RNG, engine.NumShards())
 	for i := range prog.shardRNG {
 		prog.shardRNG[i] = rng.New(cfg.Seed + 0x9e3779b9*uint64(i+1))

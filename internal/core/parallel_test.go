@@ -134,28 +134,25 @@ func TestParallelMergedStateConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, chromatic := range []bool{true, false} {
-		cfg := DefaultConfig(3, 3).withDefaults()
-		cfg.Workers = 2
-		cfg.Chromatic = chromatic
-		smp, err := newParallelSampler(data, cfg, nil, nil, nil)
-		if err != nil {
+	cfg := DefaultConfig(3, 3).withDefaults()
+	cfg.Workers = 2
+	smp, err := newParallelSampler(data, cfg, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if err := smp.sweep(); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 4; i++ {
-			if err := smp.sweep(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := smp.prog.st.checkInvariants(); err != nil {
-			t.Fatalf("chromatic=%v: merged state inconsistent: %v", chromatic, err)
-		}
+	}
+	if err := smp.prog.st.checkInvariants(); err != nil {
+		t.Fatalf("merged state inconsistent: %v", err)
 	}
 }
 
 // TestParallelBitIdenticalAcrossWorkers is the determinism matrix: the
 // parallel sampler must produce bit-identical assignments for workers ∈
-// {1, 2, 4, 8} on the small and medium presets, for both engines. The
+// {1, 2, 4, 8} on the small and medium presets. The
 // 1-worker leg is the serial reference execution of the shard schedule,
 // so agreement with it is agreement with the serial chain.
 func TestParallelBitIdenticalAcrossWorkers(t *testing.T) {
@@ -175,40 +172,38 @@ func TestParallelBitIdenticalAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, chromatic := range []bool{true, false} {
-			var refC, refZ, refS, refSP []int
-			for _, w := range workers {
-				cfg := DefaultConfig(p.cfg.C, p.cfg.K).withDefaults()
-				cfg.Workers, cfg.Chromatic, cfg.Seed = w, chromatic, 7
-				smp, err := newParallelSampler(data, cfg, nil, nil, nil)
-				if err != nil {
+		var refC, refZ, refS, refSP []int
+		for _, w := range workers {
+			cfg := DefaultConfig(p.cfg.C, p.cfg.K).withDefaults()
+			cfg.Workers, cfg.Seed = w, 7
+			smp, err := newParallelSampler(data, cfg, nil, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sweeps := 3
+			if p.name == "medium" {
+				sweeps = 2
+			}
+			for i := 0; i < sweeps; i++ {
+				if err := smp.sweep(); err != nil {
 					t.Fatal(err)
 				}
-				sweeps := 3
-				if p.name == "medium" {
-					sweeps = 2
-				}
-				for i := 0; i < sweeps; i++ {
-					if err := smp.sweep(); err != nil {
-						t.Fatal(err)
-					}
-				}
-				c, z, s, sp := smp.assignments()
-				if w == 1 {
-					refC = append([]int(nil), c...)
-					refZ = append([]int(nil), z...)
-					refS = append([]int(nil), s...)
-					refSP = append([]int(nil), sp...)
-					continue
-				}
-				for name, pair := range map[string][2][]int{
-					"c": {refC, c}, "z": {refZ, z}, "s": {refS, s}, "sp": {refSP, sp},
-				} {
-					for i := range pair[0] {
-						if pair[0][i] != pair[1][i] {
-							t.Fatalf("%s chromatic=%v: %s[%d] differs between 1 and %d workers: %d vs %d",
-								p.name, chromatic, name, i, w, pair[0][i], pair[1][i])
-						}
+			}
+			c, z, s, sp := smp.assignments()
+			if w == 1 {
+				refC = append([]int(nil), c...)
+				refZ = append([]int(nil), z...)
+				refS = append([]int(nil), s...)
+				refSP = append([]int(nil), sp...)
+				continue
+			}
+			for name, pair := range map[string][2][]int{
+				"c": {refC, c}, "z": {refZ, z}, "s": {refS, s}, "sp": {refSP, sp},
+			} {
+				for i := range pair[0] {
+					if pair[0][i] != pair[1][i] {
+						t.Fatalf("%s: %s[%d] differs between 1 and %d workers: %d vs %d",
+							p.name, name, i, w, pair[0][i], pair[1][i])
 					}
 				}
 			}
@@ -225,28 +220,25 @@ func TestParallelSweepZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, chromatic := range []bool{true, false} {
-		for _, w := range []int{1, 4} {
-			cfg := DefaultConfig(3, 4).withDefaults()
-			cfg.Workers, cfg.Chromatic = w, chromatic
-			smp, err := newParallelSampler(data, cfg, nil, nil, nil)
-			if err != nil {
+	for _, w := range []int{1, 4} {
+		cfg := DefaultConfig(3, 4).withDefaults()
+		cfg.Workers = w
+		smp, err := newParallelSampler(data, cfg, nil, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if err := smp.sweep(); err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < 2; i++ {
-				if err := smp.sweep(); err != nil {
-					t.Fatal(err)
-				}
+		}
+		avg := testing.AllocsPerRun(10, func() {
+			if err := smp.sweep(); err != nil {
+				t.Fatal(err)
 			}
-			avg := testing.AllocsPerRun(10, func() {
-				if err := smp.sweep(); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if avg != 0 {
-				t.Fatalf("chromatic=%v workers=%d: parallel sweep allocates %.2f objects, want 0",
-					chromatic, w, avg)
-			}
+		})
+		if avg != 0 {
+			t.Fatalf("workers=%d: parallel sweep allocates %.2f objects, want 0", w, avg)
 		}
 	}
 }
@@ -259,7 +251,6 @@ func TestChromaticTrainerWorks(t *testing.T) {
 	}
 	cfg := DefaultConfig(3, 4)
 	cfg.Iterations, cfg.BurnIn, cfg.Workers, cfg.Seed = 12, 6, 3, 7
-	cfg.Chromatic = true
 	m, st, err := TrainWithStats(data, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -52,13 +52,20 @@ type state struct {
 // matters at laptop scale where λ₀ is otherwise dwarfed by the positive
 // counts (see DESIGN.md); otherwise it is λ₀ itself.
 func (st *state) negMass(a, b int) float64 {
+	return st.negMassCounts(st.nSC[a], st.nDC[b])
+}
+
+// negMassCounts is negMass for explicit endpoint counts: src source
+// endpoints in the pair's first community and dst destination endpoints
+// in its second.
+func (st *state) negMassCounts(src, dst int) float64 {
 	if !st.cfg.NegCorrection {
 		return st.lambda0
 	}
 	links := float64(len(st.data.Links))
 	C := float64(st.cfg.C)
-	wa := (float64(st.nSC[a]) + 1) / (links + C)
-	wb := (float64(st.nDC[b]) + 1) / (links + C)
+	wa := (float64(src) + 1) / (links + C)
+	wb := (float64(dst) + 1) / (links + C)
 	return st.nNeg * wa * wb
 }
 

@@ -7,58 +7,30 @@ import (
 	"github.com/cold-diffusion/cold/internal/faultinject"
 )
 
-// panicProgram is a degree-style program whose phases can be told to
-// panic, to verify that worker goroutine crashes surface as Step errors
-// instead of killing the process.
-type panicProgram struct {
-	degreeProgram
-	panicIn string // "gather", "apply", "scatter", "merge"
-}
-
-func (p *panicProgram) Gather(g *Graph[int, string], v int32, e *Edge[string]) int {
-	if p.panicIn == "gather" {
-		panic("gather boom")
+// panicking arms p to panic with "<phase> boom" in the scatter or the
+// boundary merge, to verify that worker goroutine crashes surface as
+// Step errors instead of killing the process.
+func panicking(p *testProg, phase string) {
+	switch phase {
+	case "scatter":
+		p.onEdge = func(int32) { panic("scatter boom") }
+	case "merge":
+		p.onMerge = func() { panic("merge boom") }
 	}
-	return p.degreeProgram.Gather(g, v, e)
-}
-
-func (p *panicProgram) Apply(g *Graph[int, string], v int32, acc int, has bool) {
-	if p.panicIn == "apply" {
-		panic("apply boom")
-	}
-	p.degreeProgram.Apply(g, v, acc, has)
-}
-
-func (p *panicProgram) Scatter(g *Graph[int, string], eid int32, e *Edge[string], ctx *degCtx) {
-	if p.panicIn == "scatter" {
-		panic("scatter boom")
-	}
-	p.degreeProgram.Scatter(g, eid, e, ctx)
-}
-
-func (p *panicProgram) Merge(ctxs []*degCtx) {
-	if p.panicIn == "merge" {
-		panic("merge boom")
-	}
-	p.degreeProgram.Merge(ctxs)
 }
 
 func TestStepContainsPanics(t *testing.T) {
-	for _, phase := range []string{"gather", "apply", "scatter", "merge"} {
+	for _, phase := range []string{"scatter", "merge"} {
 		for _, workers := range []int{1, 4} {
-			p := &panicProgram{panicIn: phase}
-			e := NewEngine(buildTestGraph(), p, workers)
-			err := e.Step()
+			g := buildTestGraph()
+			p := newTestProg(g)
+			panicking(p, phase)
+			err := NewEngine(g, p, workers).Step()
 			if err == nil {
 				t.Fatalf("%s/%d workers: panic not converted to error", phase, workers)
 			}
 			if !strings.Contains(err.Error(), phase+" boom") {
 				t.Fatalf("%s/%d workers: error %q lost the panic message", phase, workers, err)
-			}
-
-			ce := NewChromaticEngine(buildTestGraph(), &panicProgram{panicIn: phase}, workers)
-			if err := ce.Step(); err == nil {
-				t.Fatalf("chromatic %s/%d workers: panic not converted to error", phase, workers)
 			}
 		}
 	}
@@ -67,18 +39,23 @@ func TestStepContainsPanics(t *testing.T) {
 func TestStepHealthyAfterContainedPanic(t *testing.T) {
 	// A program that panics once, then behaves: the engine itself must
 	// stay usable for the caller's rollback-and-retry.
-	p := &panicProgram{panicIn: "scatter"}
 	g := buildTestGraph()
+	p := newTestProg(g)
+	panicking(p, "scatter")
 	e := NewEngine(g, p, 2)
 	if err := e.Step(); err == nil {
 		t.Fatal("first step should fail")
 	}
-	p.panicIn = ""
+	p.onEdge = nil
+	p.visits = 0
+	for _, c := range e.Ctxs() {
+		c.visits = 0 // the caller's rollback
+	}
 	if err := e.Step(); err != nil {
 		t.Fatalf("engine unusable after contained panic: %v", err)
 	}
-	if g.Vertices[0] != 3 { // degree of vertex 0 in buildTestGraph
-		t.Fatalf("degrees wrong after recovery: %v", g.Vertices)
+	if p.visits != len(g.Edges) {
+		t.Fatalf("recovered step scattered %d edges, want %d", p.visits, len(g.Edges))
 	}
 }
 
@@ -89,7 +66,8 @@ func TestScatterWorkerFaultPoint(t *testing.T) {
 			panic("injected worker crash")
 		}
 	})
-	e := NewEngine(buildTestGraph(), &degreeProgram{}, 2)
+	g := buildTestGraph()
+	e := NewEngine(g, newTestProg(g), 2)
 	err := e.Step()
 	if err == nil || !strings.Contains(err.Error(), "injected worker crash") {
 		t.Fatalf("injected crash not reported: %v", err)

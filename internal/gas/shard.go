@@ -10,54 +10,13 @@ import (
 )
 
 // Sharded scatter execution. GraphLab's scaling (Low et al., PVLDB
-// 2012, §5) comes from two properties the naive block-per-worker
-// scatter lacks: work is partitioned by locality and cost rather than
-// by index range, and the schedule is a property of the *graph*, not of
-// the worker pool, so adding workers changes only who executes a shard
-// — never what any shard computes. This file provides that layer for
-// both engines: programs opt in through the interfaces below, the
-// engines build a shard plan once at construction, and a persistent
-// worker pool executes it every superstep without allocating.
-
-// EdgeWeighter is an optional Program extension reporting how expensive
-// one edge's scatter is (for the COLD sampler: its token mass). Engines
-// use it to balance shards by work instead of edge count; without it
-// every edge weighs 1. Weights below 1 are clamped to 1.
-type EdgeWeighter[VD, ED any] interface {
-	EdgeWeight(g *Graph[VD, ED], eid int32, e *Edge[ED]) int64
-}
-
-// ShardScatterer is an optional Program extension replacing per-edge
-// Scatter calls with whole-shard calls. Shards are fixed contiguous
-// weight-balanced spans of the scatter order, computed once at engine
-// construction from the graph and edge weights alone — never from the
-// worker count. A program that keys its randomness by shard id (rather
-// than worker id) therefore samples an identical chain under any pool
-// size. edges holds the shard's edge ids in canonical order. beat must
-// be ticked once per edge (it is nil-safe); a false Next signals a
-// supervised abort and the implementation must return immediately.
-type ShardScatterer[VD, ED, Ctx any] interface {
-	ScatterShard(g *Graph[VD, ED], shard int, edges []int32, ctx Ctx, beat *Beat)
-}
-
-// BoundaryMerger is an optional Program extension for engines that
-// scatter in batches (the ChromaticEngine's coalesced colour classes):
-// after each batch the engine calls MergeBoundary single-threaded so
-// the program can fold buffered deltas into global state, letting the
-// next batch sample against fresher counters. Merge still runs at
-// superstep end and should then be a cheap no-op for work already
-// folded at boundaries.
-type BoundaryMerger[Ctx any] interface {
-	MergeBoundary(ctxs []Ctx)
-}
-
-// IncrementalProgram is an optional Program extension declaring that
-// the program maintains all vertex-adjacent state itself (at merge
-// boundaries), so the engines skip the gather+apply phase entirely and
-// no phase reads vertex data.
-type IncrementalProgram interface {
-	Incremental() bool
-}
+// 2012, §5) comes from two properties a naive block-per-worker scatter
+// lacks: work is partitioned by locality and cost rather than by index
+// range, and the schedule is a property of the *graph*, not of the
+// worker pool, so adding workers changes only who executes a shard —
+// never what any shard computes. The engine builds the shard plan once
+// at construction, and a persistent worker pool executes it every
+// superstep without allocating.
 
 const (
 	// shardsPerBatch is the scheduling granularity *within one
@@ -67,10 +26,9 @@ const (
 	// under weight skew, while per-shard dispatch and timing overhead
 	// stay invisible.
 	shardsPerBatch = 32
-	// maxScatterBatches bounds how many scatter barriers a chromatic
-	// superstep pays when colour classes are coalesced: classes merge
-	// (in colour order) until each batch carries at least
-	// 1/maxScatterBatches of the total edge weight.
+	// maxScatterBatches bounds how many scatter barriers a superstep
+	// pays: colour classes merge (in colour order) until each batch
+	// carries at least 1/maxScatterBatches of the total edge weight.
 	maxScatterBatches = 16
 )
 
@@ -93,31 +51,59 @@ type shardPlan struct {
 	shards  int
 }
 
-// edgeWeights evaluates the program's EdgeWeight for every edge (1 when
-// the program is not an EdgeWeighter), clamping to a minimum of 1 so
-// zero-weight spans cannot defeat the balancing arithmetic.
-func edgeWeights[VD, ED any](g *Graph[VD, ED], p any) []int64 {
+// edgeWeights evaluates the program's EdgeWeight for every edge,
+// clamping to a minimum of 1 so zero-weight spans cannot defeat the
+// balancing arithmetic.
+func edgeWeights[ED, Ctx any](g *Graph[ED], p Program[ED, Ctx]) []int64 {
 	weights := make([]int64, len(g.Edges))
-	ew, ok := p.(EdgeWeighter[VD, ED])
 	for i := range g.Edges {
-		w := int64(1)
-		if ok {
-			w = ew.EdgeWeight(g, int32(i), &g.Edges[i])
-			if w < 1 {
-				w = 1
-			}
-		}
-		weights[i] = w
+		weights[i] = max(p.EdgeWeight(g, int32(i), &g.Edges[i]), 1)
 	}
 	return weights
 }
 
+// colorEdges assigns each edge the smallest colour not used by another
+// edge at either endpoint (greedy edge colouring; at most 2Δ−1 colours)
+// and returns the edge ids per colour class, in id order.
+func colorEdges[ED any](g *Graph[ED]) [][]int32 {
+	edgeColor := make([]int, len(g.Edges))
+	for i := range edgeColor {
+		edgeColor[i] = -1
+	}
+	var classes [][]int32
+	used := make(map[int]bool)
+	for id := range g.Edges {
+		e := &g.Edges[id]
+		clear(used)
+		for _, nb := range g.incident[e.Src] {
+			if c := edgeColor[nb]; c >= 0 {
+				used[c] = true
+			}
+		}
+		for _, nb := range g.incident[e.Dst] {
+			if c := edgeColor[nb]; c >= 0 {
+				used[c] = true
+			}
+		}
+		color := 0
+		for used[color] {
+			color++
+		}
+		edgeColor[id] = color
+		for color >= len(classes) {
+			classes = append(classes, nil)
+		}
+		classes[color] = append(classes[color], int32(id))
+	}
+	return classes
+}
+
 // buildShardPlan turns ordered edge classes into the scatter schedule:
-// classes optionally coalesce into at most ~maxScatterBatches batches,
+// classes coalesce in order into at most ~maxScatterBatches batches,
 // and each batch splits into up to shardsPerBatch contiguous shards with
 // cuts placed to balance weight, not edge count. The result depends only
 // on (classes, weights).
-func buildShardPlan(classes [][]int32, weights []int64, coalesce bool) *shardPlan {
+func buildShardPlan(classes [][]int32, weights []int64) *shardPlan {
 	var total int64
 	classW := make([]int64, len(classes))
 	for i, class := range classes {
@@ -131,26 +117,16 @@ func buildShardPlan(classes [][]int32, weights []int64, coalesce bool) *shardPla
 
 	var groups [][]int32
 	var groupW []int64
-	if coalesce {
-		minW := total / maxScatterBatches
-		var cur []int32
-		var curW int64
-		for i, class := range classes {
-			cur = append(cur, class...)
-			curW += classW[i]
-			if (curW > minW || i == len(classes)-1) && len(cur) > 0 {
-				groups = append(groups, cur)
-				groupW = append(groupW, curW)
-				cur, curW = nil, 0
-			}
-		}
-	} else {
-		for i, class := range classes {
-			if len(class) == 0 {
-				continue
-			}
-			groups = append(groups, class)
-			groupW = append(groupW, classW[i])
+	minW := total / maxScatterBatches
+	var cur []int32
+	var curW int64
+	for i, class := range classes {
+		cur = append(cur, class...)
+		curW += classW[i]
+		if (curW > minW || i == len(classes)-1) && len(cur) > 0 {
+			groups = append(groups, cur)
+			groupW = append(groupW, curW)
+			cur, curW = nil, 0
 		}
 	}
 
@@ -189,9 +165,8 @@ func buildShardPlan(classes [][]int32, weights []int64, coalesce bool) *shardPla
 	return plan
 }
 
-// EngineStats accumulates scatter timing across supersteps on the
-// sharded execution path (zero for programs without ShardScatterer, and
-// on supervised phases, which keep their own accounting). It is what
+// EngineStats accumulates scatter timing across supersteps (supervised
+// batches keep their own accounting and add nothing here). It is what
 // the bench layer reads to report scaling honestly.
 type EngineStats struct {
 	// Supersteps counts completed Step calls since the last reset.
@@ -201,7 +176,7 @@ type EngineStats struct {
 	// BarrierSeconds sums the time workers spent waiting for the
 	// slowest worker at batch barriers.
 	BarrierSeconds float64
-	// SerialSeconds sums single-threaded Merge/MergeBoundary time.
+	// SerialSeconds sums single-threaded MergeBoundary time.
 	SerialSeconds float64
 	// BatchBusy and BatchMaxShard accumulate, per scatter batch, the
 	// summed shard seconds and the longest single shard of each
@@ -247,9 +222,9 @@ func (s EngineStats) clone() EngineStats {
 // claimed off a shared atomic cursor: the shard→worker mapping is
 // dynamic (good load balance under skew), which is safe precisely
 // because sharded programs key their state by shard id, not worker id.
-type scatterPool[VD, ED, Ctx any] struct {
-	g       *Graph[VD, ED]
-	prog    ShardScatterer[VD, ED, Ctx]
+type scatterPool[ED, Ctx any] struct {
+	g       *Graph[ED]
+	prog    Program[ED, Ctx]
 	ctxs    []Ctx
 	workers int
 
@@ -265,8 +240,8 @@ type scatterPool[VD, ED, Ctx any] struct {
 	shardSecs []float64
 }
 
-func newScatterPool[VD, ED, Ctx any](g *Graph[VD, ED], prog ShardScatterer[VD, ED, Ctx], ctxs []Ctx, workers, totalShards int) *scatterPool[VD, ED, Ctx] {
-	p := &scatterPool[VD, ED, Ctx]{
+func newScatterPool[ED, Ctx any](g *Graph[ED], prog Program[ED, Ctx], ctxs []Ctx, workers, totalShards int) *scatterPool[ED, Ctx] {
+	p := &scatterPool[ED, Ctx]{
 		g:         g,
 		prog:      prog,
 		ctxs:      ctxs,
@@ -287,7 +262,7 @@ func newScatterPool[VD, ED, Ctx any](g *Graph[VD, ED], prog ShardScatterer[VD, E
 }
 
 // serve is one pool goroutine's loop.
-func (p *scatterPool[VD, ED, Ctx]) serve(w int) {
+func (p *scatterPool[ED, Ctx]) serve(w int) {
 	for shards := range p.tasks[w] {
 		start := time.Now()
 		p.runWorker(w, shards)
@@ -300,14 +275,14 @@ func (p *scatterPool[VD, ED, Ctx]) serve(w int) {
 // recoverWorker converts a worker panic into that worker's error slot.
 // It is deferred as a direct method call — a closure here would be
 // heap-allocated per batch under gcshape stenciling.
-func (p *scatterPool[VD, ED, Ctx]) recoverWorker(w int) {
+func (p *scatterPool[ED, Ctx]) recoverWorker(w int) {
 	if r := recover(); r != nil {
 		p.errs[w] = fmt.Errorf("gas: worker %d: panic: %v\n%s", w, r, truncatedStack())
 	}
 }
 
 // runWorker drains shards for worker w, containing panics.
-func (p *scatterPool[VD, ED, Ctx]) runWorker(w int, shards []shardSpan) {
+func (p *scatterPool[ED, Ctx]) runWorker(w int, shards []shardSpan) {
 	defer p.recoverWorker(w)
 	if faultinject.Armed() {
 		faultinject.Fire(faultinject.GasScatterWorker, w)
@@ -328,7 +303,7 @@ func (p *scatterPool[VD, ED, Ctx]) runWorker(w int, shards []shardSpan) {
 // runBatch executes one batch across the pool and returns the first
 // worker error. Per-shard seconds land in shardSecs and per-worker
 // busy/finish times in busy/done for the engine to aggregate.
-func (p *scatterPool[VD, ED, Ctx]) runBatch(shards []shardSpan) error {
+func (p *scatterPool[ED, Ctx]) runBatch(shards []shardSpan) error {
 	p.cursor.Store(0)
 	if p.workers == 1 {
 		p.errs[0] = nil
@@ -354,126 +329,22 @@ func (p *scatterPool[VD, ED, Ctx]) runBatch(shards []shardSpan) error {
 	return nil
 }
 
-// merger is the slice of the Program interface the shard executor needs
-// at superstep end; every Program satisfies it.
-type merger[Ctx any] interface {
-	Merge(ctxs []Ctx)
-}
-
-// shardExec bundles the sharded execution state both engines embed:
-// the plan, the pool, and the accumulated stats. For programs that are
-// not ShardScatterers it stays inert (sharded == nil) and the engines
-// fall back to their legacy per-edge paths.
-type shardExec[VD, ED, Ctx any] struct {
-	sharded     ShardScatterer[VD, ED, Ctx]
-	boundary    BoundaryMerger[Ctx]
-	merge       merger[Ctx]
-	incremental bool
-	plan        *shardPlan
-	pool        *scatterPool[VD, ED, Ctx]
-	stats       EngineStats
-}
-
-// newShardExec inspects the program's optional interfaces and, for
-// sharded programs, builds the plan and pool. classes is the scatter
-// order grouped into mutually independent sets (colour classes for the
-// chromatic engine; one class of all edges for the synchronous one);
-// coalesce allows merging classes into weight-bounded batches, which is
-// only sound when the program never touches shared vertex data — i.e.
-// when it is incremental and merges at boundaries.
-func newShardExec[VD, ED, Ctx any](g *Graph[VD, ED], p any, ctxs []Ctx, workers int, classes [][]int32) *shardExec[VD, ED, Ctx] {
-	x := &shardExec[VD, ED, Ctx]{}
-	x.sharded, _ = p.(ShardScatterer[VD, ED, Ctx])
-	x.boundary, _ = p.(BoundaryMerger[Ctx])
-	x.merge, _ = p.(merger[Ctx])
-	if ip, ok := p.(IncrementalProgram); ok {
-		x.incremental = ip.Incremental()
-	}
-	if x.sharded == nil {
-		return x
-	}
-	coalesce := x.incremental && x.boundary != nil
-	x.plan = buildShardPlan(classes, edgeWeights(g, p), coalesce)
-	x.pool = newScatterPool(g, x.sharded, ctxs, workers, x.plan.shards)
-	x.stats.BatchBusy = make([]float64, len(x.plan.batches))
-	x.stats.BatchMaxShard = make([]float64, len(x.plan.batches))
-	return x
-}
-
-// numShards reports the plan's shard count (0 for non-sharded
-// programs). Sharded programs size per-shard state (e.g. RNG streams)
-// from it.
-func (x *shardExec[VD, ED, Ctx]) numShards() int {
-	if x.plan == nil {
-		return 0
-	}
-	return x.plan.shards
-}
-
-// runScatter executes the full scatter schedule: every batch through
-// the pool (or, under a StallPolicy, through the supervised fan-out),
-// with a boundary merge after each batch when the program wants one.
-func (x *shardExec[VD, ED, Ctx]) runScatter(g *Graph[VD, ED], ctxs []Ctx, m *Metrics, sp *StallPolicy) error {
-	for bi := range x.plan.batches {
-		shards := x.plan.batches[bi].shards
-		if sp.enabled() {
-			err := runSupervised(m, sp, "scatter", x.pool.workers, len(shards), func(worker, lo, hi int, beat *Beat) {
-				faultinject.Fire(faultinject.GasScatterWorker, worker)
-				ctx := ctxs[worker]
-				for i := lo; i < hi; i++ {
-					sh := shards[i]
-					x.sharded.ScatterShard(g, sh.id, sh.edges, ctx, beat)
-				}
-			})
-			if err != nil {
-				return err
-			}
-		} else {
-			if err := x.pool.runBatch(shards); err != nil {
-				return err
-			}
-			x.observeBatch(bi, m)
-		}
-		if x.boundary != nil {
-			if err := x.runBoundary(ctxs); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// runBoundary folds buffered deltas at a batch boundary under the
-// serial-time clock. The recover is open-coded — no safely closure — so
-// a steady-state sweep with many batches stays allocation-free.
-func (x *shardExec[VD, ED, Ctx]) runBoundary(ctxs []Ctx) (err error) {
-	t0 := time.Now()
-	defer func() {
-		x.stats.SerialSeconds += time.Since(t0).Seconds()
-		if p := recover(); p != nil {
-			err = fmt.Errorf("gas: boundary merge panic: %v\n%s", p, truncatedStack())
-		}
-	}()
-	x.boundary.MergeBoundary(ctxs)
-	return nil
-}
-
 // observeBatch folds one batch's pool timings into the stats and the
 // optional metrics: per-shard seconds into busy and critical-path rows,
 // per-worker finish spread into barrier wait.
-func (x *shardExec[VD, ED, Ctx]) observeBatch(bi int, m *Metrics) {
-	p := x.pool
+func (e *Engine[ED, Ctx]) observeBatch(bi int) {
+	p, m := e.pool, e.m
 	var busy, maxShard float64
-	for _, sh := range x.plan.batches[bi].shards {
+	for _, sh := range e.plan.batches[bi].shards {
 		s := p.shardSecs[sh.id]
 		busy += s
 		if s > maxShard {
 			maxShard = s
 		}
 	}
-	x.stats.BusySeconds += busy
-	x.stats.BatchBusy[bi] += busy
-	x.stats.BatchMaxShard[bi] += maxShard
+	e.stats.BusySeconds += busy
+	e.stats.BatchBusy[bi] += busy
+	e.stats.BatchMaxShard[bi] += maxShard
 
 	if p.workers == 1 {
 		if m != nil {
@@ -490,38 +361,10 @@ func (x *shardExec[VD, ED, Ctx]) observeBatch(bi int, m *Metrics) {
 	}
 	for w := 0; w < p.workers; w++ {
 		wait := last.Sub(p.done[w]).Seconds()
-		x.stats.BarrierSeconds += wait
+		e.stats.BarrierSeconds += wait
 		if m != nil {
 			m.WorkerBusy.Observe(p.busy[w].Seconds())
 			m.BarrierWait.Observe(wait)
 		}
-	}
-}
-
-// runMerge runs the program's superstep-end Merge single-threaded under
-// the serial-time clock, with the same open-coded recover as
-// runBoundary to keep the per-sweep path allocation-free.
-func (x *shardExec[VD, ED, Ctx]) runMerge(ctxs []Ctx) (err error) {
-	t0 := time.Now()
-	defer func() {
-		x.stats.SerialSeconds += time.Since(t0).Seconds()
-		if p := recover(); p != nil {
-			err = fmt.Errorf("gas: merge panic: %v\n%s", p, truncatedStack())
-		}
-	}()
-	x.merge.Merge(ctxs)
-	return nil
-}
-
-// snapshot returns a copy of the accumulated stats.
-func (x *shardExec[VD, ED, Ctx]) snapshot() EngineStats { return x.stats.clone() }
-
-// reset zeroes the accumulated stats in place.
-func (x *shardExec[VD, ED, Ctx]) reset() {
-	n := len(x.stats.BatchBusy)
-	x.stats = EngineStats{}
-	if n > 0 {
-		x.stats.BatchBusy = make([]float64, n)
-		x.stats.BatchMaxShard = make([]float64, n)
 	}
 }

@@ -21,7 +21,7 @@ func TestBuildShardPlanCoversEveryEdgeInOrder(t *testing.T) {
 	for i := range class {
 		class[i] = int32(i)
 	}
-	plan := buildShardPlan([][]int32{class}, planWeights(n), false)
+	plan := buildShardPlan([][]int32{class}, planWeights(n))
 
 	if len(plan.batches) != 1 {
 		t.Fatalf("one class should make one batch, got %d", len(plan.batches))
@@ -62,7 +62,7 @@ func TestBuildShardPlanBalancesWeight(t *testing.T) {
 			maxEdge = w
 		}
 	}
-	plan := buildShardPlan([][]int32{class}, weights, false)
+	plan := buildShardPlan([][]int32{class}, weights)
 
 	ns := len(plan.batches[0].shards)
 	if ns != shardsPerBatch {
@@ -97,11 +97,7 @@ func TestBuildShardPlanCoalescesClasses(t *testing.T) {
 		weights[i] = 1
 	}
 
-	loose := buildShardPlan(cls, weights, false)
-	if len(loose.batches) != classes {
-		t.Fatalf("uncoalesced plan has %d batches, want %d", len(loose.batches), classes)
-	}
-	tight := buildShardPlan(cls, weights, true)
+	tight := buildShardPlan(cls, weights)
 	if len(tight.batches) > maxScatterBatches+1 {
 		t.Fatalf("coalesced plan has %d batches, want <= %d", len(tight.batches), maxScatterBatches+1)
 	}
@@ -124,71 +120,21 @@ func TestBuildShardPlanCoalescesClasses(t *testing.T) {
 
 // --- sharded engine execution ------------------------------------------
 
-type shVD struct{}
-
-type shED struct{ cost int64 }
-
-type shCtx struct{ scatters int }
-
-// shardProg records, per edge, which shard scattered it — the full
-// schedule fingerprint. Writes race-free: each edge belongs to exactly
-// one shard, and a shard runs on exactly one worker per batch.
-type shardProg struct {
-	shardOf []int64
-	merges  int
-}
-
-func (p *shardProg) NewCtx(int) *shCtx { return &shCtx{} }
-func (p *shardProg) Gather(*Graph[shVD, shED], int32, *Edge[shED]) struct{} {
-	return struct{}{}
-}
-func (p *shardProg) Sum(a, _ struct{}) struct{}                      { return a }
-func (p *shardProg) Apply(*Graph[shVD, shED], int32, struct{}, bool) {}
-func (p *shardProg) Scatter(*Graph[shVD, shED], int32, *Edge[shED], *shCtx) {
-	panic("per-edge Scatter must not run for a ShardScatterer")
-}
-func (p *shardProg) Merge([]*shCtx)    { p.merges++ }
-func (p *shardProg) Incremental() bool { return true }
-func (p *shardProg) EdgeWeight(g *Graph[shVD, shED], eid int32, e *Edge[shED]) int64 {
-	return e.Data.cost
-}
-func (p *shardProg) ScatterShard(g *Graph[shVD, shED], shard int, edges []int32, ctx *shCtx, beat *Beat) {
-	for _, eid := range edges {
-		if !beat.Next() {
-			return
-		}
-		p.shardOf[eid] = int64(shard)
-		ctx.scatters++
-	}
-}
-
-func shardTestGraph() *Graph[shVD, shED] {
+func shardTestGraph() *Graph[int64] {
 	const nv, ne = 60, 400
-	g := NewGraph[shVD, shED](make([]shVD, nv))
+	g := NewGraph[int64](nv)
 	for i := 0; i < ne; i++ {
-		g.AddEdge(int32(i%nv), int32((i*7+1)%nv), shED{cost: 1 + int64(i%13)})
+		g.AddEdge(int32(i%nv), int32((i*7+1)%nv), 1+int64(i%13))
 	}
 	g.Finalize()
 	return g
 }
 
-type shardEngine interface {
-	Step() error
-	NumShards() int
-	Stats() EngineStats
-	ResetStats()
-}
-
-func runShardProg(t *testing.T, workers int, chromatic bool) ([]int64, int, EngineStats) {
+func runShardProg(t *testing.T, workers int) ([]int64, int, EngineStats) {
 	t.Helper()
 	g := shardTestGraph()
-	p := &shardProg{shardOf: make([]int64, len(g.Edges))}
-	var eng shardEngine
-	if chromatic {
-		eng = NewChromaticEngine[shVD, shED, struct{}, *shCtx](g, p, workers)
-	} else {
-		eng = NewEngine[shVD, shED, struct{}, *shCtx](g, p, workers)
-	}
+	p := newTestProg(g)
+	eng := NewEngine(g, p, workers)
 	for i := 0; i < 2; i++ {
 		if err := eng.Step(); err != nil {
 			t.Fatal(err)
@@ -202,29 +148,25 @@ func runShardProg(t *testing.T, workers int, chromatic bool) ([]int64, int, Engi
 // which edge, and how many shards exist — is a function of the graph
 // alone, never of the worker count.
 func TestShardScheduleIndependentOfWorkers(t *testing.T) {
-	for _, chromatic := range []bool{false, true} {
-		ref, refShards, _ := runShardProg(t, 1, chromatic)
-		if refShards < 2 {
-			t.Fatalf("chromatic=%v: want a multi-shard plan, got %d", chromatic, refShards)
+	ref, refShards, _ := runShardProg(t, 1)
+	if refShards < 2 {
+		t.Fatalf("want a multi-shard plan, got %d", refShards)
+	}
+	for _, w := range []int{2, 4, 8} {
+		got, shards, _ := runShardProg(t, w)
+		if shards != refShards {
+			t.Fatalf("shard count changed with workers: %d at w=1, %d at w=%d", refShards, shards, w)
 		}
-		for _, w := range []int{2, 4, 8} {
-			got, shards, _ := runShardProg(t, w, chromatic)
-			if shards != refShards {
-				t.Fatalf("chromatic=%v: shard count changed with workers: %d at w=1, %d at w=%d",
-					chromatic, refShards, shards, w)
-			}
-			for eid := range ref {
-				if got[eid] != ref[eid] {
-					t.Fatalf("chromatic=%v: edge %d owned by shard %d at w=1 but %d at w=%d",
-						chromatic, eid, ref[eid], got[eid], w)
-				}
+		for eid := range ref {
+			if got[eid] != ref[eid] {
+				t.Fatalf("edge %d owned by shard %d at w=1 but %d at w=%d", eid, ref[eid], got[eid], w)
 			}
 		}
 	}
 }
 
 func TestShardEngineStats(t *testing.T) {
-	_, _, stats := runShardProg(t, 2, false)
+	_, _, stats := runShardProg(t, 2)
 	if stats.Supersteps != 2 {
 		t.Fatalf("Supersteps = %d, want 2", stats.Supersteps)
 	}
@@ -249,8 +191,7 @@ func TestShardEngineStats(t *testing.T) {
 	}
 
 	g := shardTestGraph()
-	p := &shardProg{shardOf: make([]int64, len(g.Edges))}
-	eng := NewEngine[shVD, shED, struct{}, *shCtx](g, p, 2)
+	eng := NewEngine(g, newTestProg(g), 2)
 	if err := eng.Step(); err != nil {
 		t.Fatal(err)
 	}
@@ -261,20 +202,10 @@ func TestShardEngineStats(t *testing.T) {
 	}
 }
 
-// boundaryProg additionally folds at batch boundaries, which also
-// enables colour-class coalescing on the chromatic engine.
-type boundaryProg struct {
-	shardProg
-	boundaries int
-}
-
-func (p *boundaryProg) MergeBoundary([]*shCtx) { p.boundaries++ }
-
 func TestBoundaryMergeRunsPerBatch(t *testing.T) {
 	g := shardTestGraph()
-	p := &boundaryProg{}
-	p.shardOf = make([]int64, len(g.Edges))
-	eng := NewChromaticEngine[shVD, shED, struct{}, *shCtx](g, p, 2)
+	p := newTestProg(g)
+	eng := NewEngine(g, p, 2)
 	if err := eng.Step(); err != nil {
 		t.Fatal(err)
 	}
@@ -285,35 +216,26 @@ func TestBoundaryMergeRunsPerBatch(t *testing.T) {
 	if batches > maxScatterBatches+1 {
 		t.Fatalf("coalescing failed: %d batches for maxScatterBatches=%d", batches, maxScatterBatches)
 	}
-	// One boundary fold per batch plus the superstep-end Merge, which
-	// boundaryProg does not delegate — shardProg.Merge counts separately.
 	if p.boundaries != batches {
 		t.Fatalf("MergeBoundary ran %d times for %d batches", p.boundaries, batches)
 	}
-	if p.merges != 1 {
-		t.Fatalf("Merge ran %d times, want 1", p.merges)
-	}
 }
 
-// panicProg blows up in one shard; the pool must surface it as an error
-// from Step on both the inline and the goroutine path.
-type panicProg struct{ shardProg }
-
-func (p *panicProg) ScatterShard(g *Graph[shVD, shED], shard int, edges []int32, ctx *shCtx, beat *Beat) {
-	if shard == 3 {
-		panic("shard 3 exploded")
-	}
-	p.shardProg.ScatterShard(g, shard, edges, ctx, beat)
-}
-
+// TestShardWorkerPanicBecomesError blows up one shard; the pool must
+// surface it as an error from Step on both the inline and the goroutine
+// path.
 func TestShardWorkerPanicBecomesError(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		g := shardTestGraph()
-		p := &panicProg{}
-		p.shardOf = make([]int64, len(g.Edges))
-		eng := NewEngine[shVD, shED, struct{}, *shCtx](g, p, workers)
+		p := newTestProg(g)
+		eng := NewEngine(g, p, workers)
+		p.onEdge = func(eid int32) {
+			if eid == 3 {
+				panic("edge 3 exploded")
+			}
+		}
 		err := eng.Step()
-		if err == nil || !strings.Contains(err.Error(), "shard 3 exploded") {
+		if err == nil || !strings.Contains(err.Error(), "edge 3 exploded") {
 			t.Fatalf("workers=%d: want panic error, got %v", workers, err)
 		}
 	}

@@ -8,32 +8,22 @@ import (
 	"github.com/cold-diffusion/cold/internal/obs"
 )
 
-// hangProgram is a degreeProgram whose Scatter blocks on release when
-// visiting edge hangOn — a deliberately hung worker.
-type hangProgram struct {
-	degreeProgram
-	hangOn  int32
-	release chan struct{}
-}
-
-func (p *hangProgram) Scatter(g *Graph[int, string], eid int32, e *Edge[string], ctx *degCtx) {
-	if eid == p.hangOn {
-		<-p.release
-	}
-	p.degreeProgram.Scatter(g, eid, e, ctx)
-}
-
 // A hung scatter worker is detected within the stall policy's bounds:
 // Step returns an error wrapping ErrStalled instead of hanging forever,
 // the stall is counted, and the poisoned engine refuses further
 // supersteps without touching the (possibly still-mutating) state.
 func TestHungWorkerDetectedAndEnginePoisoned(t *testing.T) {
 	g := buildTestGraph()
-	p := &hangProgram{hangOn: 3, release: make(chan struct{})}
-	defer close(p.release) // unblock the leaked goroutine at test exit
-	e := NewEngine[int, string, int, *degCtx](g, p, 2)
-	reg := obs.NewRegistry()
-	m := NewMetrics(reg)
+	p := newTestProg(g)
+	release := make(chan struct{})
+	defer close(release) // unblock the leaked goroutine at test exit
+	p.onEdge = func(eid int32) {
+		if eid == 3 {
+			<-release
+		}
+	}
+	e := NewEngine(g, p, 2)
+	m := NewMetrics(obs.NewRegistry())
 	e.SetMetrics(m)
 	e.SetStallPolicy(&StallPolicy{Grace: 30 * time.Millisecond})
 
@@ -50,7 +40,7 @@ func TestHungWorkerDetectedAndEnginePoisoned(t *testing.T) {
 	if got := m.WorkerStalls.Value(); got != 1 {
 		t.Fatalf("WorkerStalls = %d, want 1", got)
 	}
-	// Poisoned: the next Step must fail instantly, not re-run phases.
+	// Poisoned: the next Step must fail instantly, not re-run batches.
 	start := time.Now()
 	if err := e.Step(); !errors.Is(err, ErrStalled) {
 		t.Fatalf("poisoned Step returned %v, want ErrStalled", err)
@@ -60,12 +50,19 @@ func TestHungWorkerDetectedAndEnginePoisoned(t *testing.T) {
 	}
 }
 
-// The chromatic engine shares the supervision path and poisoning.
+// A hang on the first edge of the chromatic (colour-major) schedule is
+// supervised and poisons the engine the same way.
 func TestHungWorkerChromaticEngine(t *testing.T) {
 	g := buildTestGraph()
-	p := &hangProgram{hangOn: 0, release: make(chan struct{})}
-	defer close(p.release)
-	e := NewChromaticEngine[int, string, int, *degCtx](g, p, 2)
+	p := newTestProg(g)
+	release := make(chan struct{})
+	defer close(release)
+	p.onEdge = func(eid int32) {
+		if eid == 0 {
+			<-release
+		}
+	}
+	e := NewEngine(g, p, 2)
 	e.SetStallPolicy(&StallPolicy{Grace: 30 * time.Millisecond})
 	done := make(chan error, 1)
 	go func() { done <- e.Step() }()
@@ -82,37 +79,28 @@ func TestHungWorkerChromaticEngine(t *testing.T) {
 	}
 }
 
-// slowProgram makes steady but slow progress, tripping the phase
+// A program that makes steady but slow progress trips the batch
 // deadline without any single worker ever going silent past the grace.
-type slowProgram struct {
-	degreeProgram
-	perEdge time.Duration
-}
-
-func (p *slowProgram) Scatter(g *Graph[int, string], eid int32, e *Edge[string], ctx *degCtx) {
-	time.Sleep(p.perEdge)
-	p.degreeProgram.Scatter(g, eid, e, ctx)
-}
-
 func TestPhaseDeadlineOverrun(t *testing.T) {
 	g := buildTestGraph()
-	p := &slowProgram{perEdge: 30 * time.Millisecond}
-	e := NewEngine[int, string, int, *degCtx](g, p, 1)
+	p := newTestProg(g)
+	p.onEdge = func(int32) { time.Sleep(30 * time.Millisecond) }
+	e := NewEngine(g, p, 1)
 	e.SetStallPolicy(&StallPolicy{Deadline: 25 * time.Millisecond})
 	if err := e.Step(); !errors.Is(err, ErrStalled) {
 		t.Fatalf("Step returned %v, want ErrStalled on deadline overrun", err)
 	}
 }
 
-// Supervision must be an observer on healthy runs: same results as the
+// Supervision must be an observer on healthy runs: same schedule as the
 // unsupervised engine, no stalls counted, engine stays usable.
 func TestSupervisedHealthyRunUnaffected(t *testing.T) {
+	want, _, _ := runShardProg(t, 1)
 	for _, workers := range []int{1, 2, 4} {
-		g := buildTestGraph()
-		p := &degreeProgram{}
-		e := NewEngine[int, string, int, *degCtx](g, p, workers)
-		reg := obs.NewRegistry()
-		m := NewMetrics(reg)
+		g := shardTestGraph()
+		p := newTestProg(g)
+		e := NewEngine(g, p, workers)
+		m := NewMetrics(obs.NewRegistry())
 		e.SetMetrics(m)
 		e.SetStallPolicy(&StallPolicy{Deadline: 10 * time.Second, Grace: 10 * time.Second})
 		for step := 0; step < 3; step++ {
@@ -120,14 +108,13 @@ func TestSupervisedHealthyRunUnaffected(t *testing.T) {
 				t.Fatalf("workers=%d step %d: %v", workers, step, err)
 			}
 		}
-		wantDeg := []int{3, 2, 2, 1, 0}
-		for v, want := range wantDeg {
-			if g.Vertices[v] != want {
-				t.Fatalf("workers=%d: degree[%d] = %d, want %d", workers, v, g.Vertices[v], want)
+		for eid := range want {
+			if p.shardOf[eid] != want[eid] {
+				t.Fatalf("workers=%d: edge %d scattered by shard %d, unsupervised %d", workers, eid, p.shardOf[eid], want[eid])
 			}
 		}
-		if p.scatterTotal != 3*len(g.Edges) {
-			t.Fatalf("workers=%d: scatter visited %d, want %d", workers, p.scatterTotal, 3*len(g.Edges))
+		if p.visits != 3*len(g.Edges) {
+			t.Fatalf("workers=%d: scatter visited %d, want %d", workers, p.visits, 3*len(g.Edges))
 		}
 		if m.WorkerStalls.Value() != 0 {
 			t.Fatalf("workers=%d: healthy run counted %d stalls", workers, m.WorkerStalls.Value())
@@ -139,8 +126,9 @@ func TestSupervisedHealthyRunUnaffected(t *testing.T) {
 // error (not a stall, not a crash), and does not poison the engine.
 func TestSupervisedPanicStillContained(t *testing.T) {
 	g := buildTestGraph()
-	p := &panicProgram{panicIn: "scatter"}
-	e := NewEngine[int, string, int, *degCtx](g, p, 2)
+	p := newTestProg(g)
+	panicking(p, "scatter")
+	e := NewEngine(g, p, 2)
 	e.SetStallPolicy(&StallPolicy{Grace: time.Second})
 	err := e.Step()
 	if err == nil {
@@ -149,7 +137,7 @@ func TestSupervisedPanicStillContained(t *testing.T) {
 	if errors.Is(err, ErrStalled) {
 		t.Fatalf("panic misreported as stall: %v", err)
 	}
-	p.panicIn = ""
+	p.onEdge = nil
 	if err := e.Step(); err != nil {
 		t.Fatalf("engine unusable after contained panic: %v", err)
 	}

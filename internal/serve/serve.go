@@ -121,9 +121,6 @@ type ScoreResult struct {
 // Both the full trained model and the degraded-mode fallback implement
 // it; all implementations must be safe for concurrent use and must not
 // retain the request slice.
-//
-// Legacy one-call-per-score implementations can be bridged with
-// AdaptPointEngine during the migration window.
 type Engine interface {
 	Info() ModelInfo
 	// ScoreBatch answers len(reqs) items. Implementations check ctx
@@ -292,88 +289,5 @@ func (e fallbackEngine) ScoreBatch(ctx context.Context, reqs []ScoreRequest) []S
 }
 
 func (e fallbackEngine) Rank(int, int) ([]core.RankedCandidate, error) {
-	return nil, ErrDegraded
-}
-
-// PointEngine is the pre-batch Engine contract: one call per score.
-//
-// Deprecated: the serving layer is batch-first; implement Engine
-// (ScoreBatch + Rank) instead. PointEngine and AdaptPointEngine exist
-// for exactly one release so out-of-tree engines keep compiling while
-// they migrate; see the /v1 contract section in DESIGN.md.
-type PointEngine interface {
-	Info() ModelInfo
-	// RetweetScore is the probability that candidate spreads a post
-	// published by publisher (Eq. 7 for the full model).
-	RetweetScore(publisher, candidate int, words text.BagOfWords) float64
-	// LinkScore is the probability of a directed link from → to.
-	LinkScore(from, to int) float64
-	// PredictTime is the most likely time slice for user's post.
-	PredictTime(user int, words text.BagOfWords) int
-	// TopicPosterior is P(k | d, i); degraded engines return ErrDegraded.
-	TopicPosterior(user int, words text.BagOfWords) ([]float64, error)
-}
-
-// AdaptPointEngine bridges a legacy one-call-per-score engine onto the
-// batch-first Engine contract: ScoreBatch loops the point methods with
-// the same per-item validation as the native engines, and Rank reports
-// ErrDegraded (point engines have no precomputed rankings).
-//
-// Deprecated: migration shim; implement Engine directly.
-func AdaptPointEngine(e PointEngine) Engine { return pointAdapter{e: e} }
-
-type pointAdapter struct {
-	e PointEngine
-}
-
-func (a pointAdapter) Info() ModelInfo { return a.e.Info() }
-
-func (a pointAdapter) ScoreBatch(ctx context.Context, reqs []ScoreRequest) []ScoreResult {
-	out := make([]ScoreResult, len(reqs))
-	U := a.e.Info().Users
-	for i := range reqs {
-		if checkCtx(ctx, out, i) {
-			return out
-		}
-		r := &reqs[i]
-		switch r.Kind {
-		case KindRetweet:
-			switch {
-			case r.Publisher < 0 || r.Publisher >= U:
-				out[i].Err = badUser("publisher", r.Publisher, U)
-			case r.Candidate < 0 || r.Candidate >= U:
-				out[i].Err = badUser("candidate", r.Candidate, U)
-			default:
-				out[i].Score = a.e.RetweetScore(r.Publisher, r.Candidate, r.Words)
-			}
-		case KindLink:
-			switch {
-			case r.From < 0 || r.From >= U:
-				out[i].Err = badUser("from", r.From, U)
-			case r.To < 0 || r.To >= U:
-				out[i].Err = badUser("to", r.To, U)
-			default:
-				out[i].Score = a.e.LinkScore(r.From, r.To)
-			}
-		case KindTime:
-			if r.User < 0 || r.User >= U {
-				out[i].Err = badUser("user", r.User, U)
-			} else {
-				out[i].Slice = a.e.PredictTime(r.User, r.Words)
-			}
-		case KindTopics:
-			if r.User < 0 || r.User >= U {
-				out[i].Err = badUser("user", r.User, U)
-			} else {
-				out[i].Topics, out[i].Err = a.e.TopicPosterior(r.User, r.Words)
-			}
-		default:
-			out[i].Err = fmt.Errorf("%w: unknown kind %q", ErrBadItem, r.Kind)
-		}
-	}
-	return out
-}
-
-func (a pointAdapter) Rank(int, int) ([]core.RankedCandidate, error) {
 	return nil, ErrDegraded
 }

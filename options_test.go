@@ -53,16 +53,20 @@ func TestTrainOptions(t *testing.T) {
 		t.Error("structured log missing per-sweep records")
 	}
 
-	// The identical run through the deprecated positional wrapper agrees
-	// sweep for sweep (the wrappers are thin shims, not a fork).
-	//lint:ignore SA1019 comparing the wrapper against the options API
-	_, st2, err := cold.TrainWithStats(data, cfg)
-	if err != nil {
+	// The same fit with stats only agrees sweep for sweep: checkpoints,
+	// metrics and logs observe the chain, they do not perturb it.
+	var bare cold.TrainStats
+	if _, err := cold.Train(context.Background(), data, cfg, cold.WithStats(&bare)); err != nil {
 		t.Fatal(err)
 	}
-	if st2.Sweeps != st.Sweeps || len(st2.Likelihood) != len(st.Likelihood) {
-		t.Fatalf("wrapper diverged: %d/%d sweeps, %d/%d trace points",
-			st2.Sweeps, st.Sweeps, len(st2.Likelihood), len(st.Likelihood))
+	if bare.Sweeps != st.Sweeps || len(bare.Likelihood) != len(st.Likelihood) {
+		t.Fatalf("bare run diverged: %d/%d sweeps, %d/%d trace points",
+			bare.Sweeps, st.Sweeps, len(bare.Likelihood), len(st.Likelihood))
+	}
+	for i := range st.Likelihood {
+		if bare.Likelihood[i] != st.Likelihood[i] {
+			t.Fatalf("sweep %d: likelihood %v with instrumentation, %v without", i, st.Likelihood[i], bare.Likelihood[i])
+		}
 	}
 }
 
