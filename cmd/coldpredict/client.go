@@ -12,7 +12,12 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"github.com/cold-diffusion/cold/internal/serve"
 )
+
+// ptr returns a pointer to a copy of v: the optional fields of a score item.
+func ptr(v int) *int { return &v }
 
 // remoteQuery is one parsed stdin line headed for the batch endpoint:
 // the wire item plus what the local printer needs to format its answer.
@@ -21,22 +26,7 @@ type remoteQuery struct {
 	kind string
 	a, b int // retweet: publisher,candidate; link: from,to; time/topics: user,-
 	post int
-	item map[string]any
-}
-
-// remoteItemResult is the per-item slot of a /v1/score/batch response.
-type remoteItemResult struct {
-	Status string   `json:"status"`
-	Score  *float64 `json:"score"`
-	Slice  *int     `json:"slice"`
-	Topics []struct {
-		Topic  int     `json:"topic"`
-		Weight float64 `json:"weight"`
-	} `json:"topics"`
-	Error *struct {
-		Code    string `json:"code"`
-		Message string `json:"message"`
-	} `json:"error"`
+	item serve.ScoreItem
 }
 
 // runRemote scores stdin queries against a running coldserve or
@@ -151,7 +141,8 @@ func parseRemote(fields []string) (remoteQuery, error) {
 		if q.post, err = arg(3); err != nil {
 			return q, err
 		}
-		q.item = map[string]any{"kind": "retweet", "publisher": q.a, "candidate": q.b, "post": q.post}
+		q.item = serve.ScoreItem{Routing: serve.Routing{Kind: serve.KindRetweet, Candidate: ptr(q.b)},
+			Publisher: ptr(q.a), Post: ptr(q.post)}
 	case "link":
 		if q.a, err = arg(1); err != nil {
 			return q, err
@@ -159,7 +150,7 @@ func parseRemote(fields []string) (remoteQuery, error) {
 		if q.b, err = arg(2); err != nil {
 			return q, err
 		}
-		q.item = map[string]any{"kind": "link", "from": q.a, "to": q.b}
+		q.item = serve.ScoreItem{Routing: serve.Routing{Kind: serve.KindLink, From: ptr(q.a)}, To: ptr(q.b)}
 	default: // time, topics
 		if q.a, err = arg(1); err != nil {
 			return q, err
@@ -167,9 +158,9 @@ func parseRemote(fields []string) (remoteQuery, error) {
 		if q.post, err = arg(2); err != nil {
 			return q, err
 		}
-		q.item = map[string]any{"kind": q.kind, "user": q.a, "post": q.post}
+		q.item = serve.ScoreItem{Routing: serve.Routing{Kind: serve.Kind(q.kind), User: ptr(q.a)}, Post: ptr(q.post)}
 		if q.kind == "topics" {
-			q.item["topn"] = 3
+			q.item.TopN = 3
 		}
 	}
 	return q, nil
@@ -178,8 +169,8 @@ func parseRemote(fields []string) (remoteQuery, error) {
 // scoreChunk ships one chunk through the batch endpoint. A transport or
 // envelope failure is a job failure (the whole chunk is gone, not one
 // line), so it aborts like an unreadable stdin would.
-func scoreChunk(client *http.Client, base string, batch []remoteQuery) []remoteItemResult {
-	items := make([]map[string]any, len(batch))
+func scoreChunk(client *http.Client, base string, batch []remoteQuery) []serve.ItemResult {
+	items := make([]serve.ScoreItem, len(batch))
 	for i := range batch {
 		items[i] = batch[i].item
 	}
@@ -200,7 +191,7 @@ func scoreChunk(client *http.Client, base string, batch []remoteQuery) []remoteI
 		log.Fatalf("batch request: server answered %s: %s", resp.Status, strings.TrimSpace(string(raw)))
 	}
 	var rep struct {
-		Results []remoteItemResult `json:"results"`
+		Results []serve.ItemResult `json:"results"`
 	}
 	if err := json.Unmarshal(raw, &rep); err != nil {
 		log.Fatalf("decode batch response: %v", err)
@@ -212,7 +203,7 @@ func scoreChunk(client *http.Client, base string, batch []remoteQuery) []remoteI
 }
 
 // printRemote renders one answered item in the local-mode output shape.
-func printRemote(out *bufio.Writer, q *remoteQuery, res *remoteItemResult) error {
+func printRemote(out *bufio.Writer, q *remoteQuery, res *serve.ItemResult) error {
 	if res.Status != "ok" {
 		if res.Error != nil {
 			return fmt.Errorf("server: %s: %s", res.Error.Code, res.Error.Message)

@@ -19,14 +19,17 @@
 // Endpoints (the forwarded /v1 prediction surface plus the router's
 // own):
 //
+//	POST /v1/score/batch        items split by shard, merged back in order
 //	POST /v1/predict/retweet    forwarded to the candidate's shard
 //	POST /v1/predict/link       forwarded to the source user's shard
 //	POST /v1/predict/time       forwarded to the user's shard
 //	POST /v1/topics             forwarded to the user's shard
+//	GET  /v1/rank/{user}        forwarded to the user's shard
 //	GET  /v1/cluster/status     shard map, breaker states, replica health
 //	GET  /v1/healthz            router process liveness
 //	GET  /metrics               Prometheus text exposition (alias /v1/metrics)
 //
+// A batch item routes by the same routing user as its single route.
 // Every non-2xx response body is the shared JSON error envelope.
 package main
 

@@ -24,12 +24,17 @@
 //	POST /v1/model/rollback    return to the previous generation
 //	GET  /v1/stats             request/shed/panic counters
 //	GET  /metrics              Prometheus text exposition (alias /v1/metrics)
+//	POST /v1/score/batch       {"items":[{"kind","..."},...]} mixed-kind batch
 //	POST /v1/predict/retweet   {"publisher","candidate","post"|"words"}
 //	POST /v1/predict/link      {"from","to"}
 //	POST /v1/predict/time      {"user","post"|"words"}
 //	POST /v1/topics            {"user","post"|"words","topn"}
-//	POST /v1/score/batch       {"items":[{"kind","..."},...]} mixed-kind batch
 //	GET  /v1/rank/{user}       precomputed top-k retweet candidates
+//
+// Each single-score route is a one-item view of /v1/score/batch: its
+// body is a batch item without "kind" (the path names it), validated
+// and scored the same way, and its 200 body is that item's value field
+// plus the generation, model_key and (except topics) degraded flag.
 //
 // The prediction hot path is batch-first: single-score requests are
 // coalesced by a micro-batcher (-batch-window/-batch-max) and answered

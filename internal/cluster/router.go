@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/cold-diffusion/cold/internal/envelope"
 	"github.com/cold-diffusion/cold/internal/faultinject"
 	"github.com/cold-diffusion/cold/internal/overload"
 	"github.com/cold-diffusion/cold/internal/serve"
@@ -200,17 +201,17 @@ func New(cfg Config) (*Router, error) {
 }
 
 // route describes one forwarded endpoint: its metric label, HTTP
-// method (empty → POST), path, which request field is the routing
-// (shard-owning) user, and the request's priority tier (the client's
-// X-Cold-Priority when valid, the route default otherwise) with the raw
-// header value kept for relay to the replica.
+// method (empty → POST), path, the score kind of a single-score route
+// (empty for batch and rank), and the request's priority tier (the
+// client's X-Cold-Priority when valid, the route default otherwise)
+// with the raw header value kept for relay to the replica.
 type route struct {
-	name      string
-	method    string
-	path      string
-	userField string
-	tier      overload.Tier
-	priority  string
+	name     string
+	method   string
+	path     string
+	kind     serve.Kind
+	tier     overload.Tier
+	priority string
 }
 
 // hotBrownoutLevel is the replica brownout level at or above which the
@@ -219,25 +220,12 @@ type route struct {
 // client instead of retried into the heat.
 const hotBrownoutLevel = 3
 
-// routeTier is the tier a route serves when the client sends no
-// priority header, mirroring coldserve's own route defaults.
-func routeTier(name string) overload.Tier {
-	switch name {
-	case "batch":
-		return overload.TierBatch
-	case "rank":
-		return overload.TierRank
-	default:
-		return overload.TierInteractive
-	}
-}
-
 // stampPriority resolves the request's effective tier (a valid client
 // X-Cold-Priority wins over the route default) and records the raw
 // header value so attemptOne can relay it verbatim. An unknown name
 // still relays — the replica applies the same fallback-to-default rule.
 func stampPriority(req *http.Request, r *route) {
-	r.tier = routeTier(r.name)
+	r.tier = serve.RouteTier(r.name)
 	if v := req.Header.Get(overload.PriorityHeader); v != "" {
 		r.priority = v
 		if t, ok := overload.ParseTier(v); ok {
@@ -269,20 +257,6 @@ func mustDeadline(ctx context.Context) time.Time {
 	return dl
 }
 
-// Routes is the forwarded single-score prediction surface. The routing
-// user is the user whose behavioural state answers the query — the
-// candidate for retweet, the link source for link, the posting user
-// otherwise — and must match what serve-side shard ownership validates.
-// The batch route (/v1/score/batch, split per shard and re-merged) and
-// the rank route (/v1/rank/{user}, routed on the path segment) have
-// their own handlers.
-var Routes = []struct{ Name, Path, UserField string }{
-	{"retweet", "/v1/predict/retweet", "candidate"},
-	{"link", "/v1/predict/link", "from"},
-	{"time", "/v1/predict/time", "user"},
-	{"topics", "/v1/topics", "user"},
-}
-
 // Handler returns the router's route table: the forwarded /v1
 // prediction surface (single-score routes, the scatter/gather batch
 // route, and the rank route), the shard map at /v1/cluster/status,
@@ -290,8 +264,8 @@ var Routes = []struct{ Name, Path, UserField string }{
 // bodies carry the shared JSON error envelope.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	for _, r := range Routes {
-		mux.Handle("POST "+r.Path, rt.predict(route{name: r.Name, path: r.Path, userField: r.UserField}))
+	for _, r := range serve.Routes {
+		mux.Handle("POST "+r.Path, rt.predict(route{name: string(r.Kind), path: r.Path, kind: r.Kind}))
 	}
 	mux.Handle("POST /v1/score/batch", rt.scoreBatch())
 	mux.Handle("GET /v1/rank/{user}", rt.rank())
@@ -301,7 +275,7 @@ func (rt *Router) Handler() http.Handler {
 		mux.Handle("GET /metrics", mh)
 		mux.Handle("GET /v1/metrics", mh)
 	}
-	return envelope(mux)
+	return envelope.Middleware(mux)
 }
 
 // Serve runs the router on ln until ctx is cancelled, then drains like
@@ -332,57 +306,36 @@ func (rt *Router) Serve(ctx context.Context, ln net.Listener) error {
 
 // ---- request admission and routing ----
 
-// routingFields is the loose decode of a prediction body: just enough
-// to find the routing user. Full validation stays on the replicas.
-type routingFields struct {
-	Publisher *int `json:"publisher"`
-	Candidate *int `json:"candidate"`
-	From      *int `json:"from"`
-	To        *int `json:"to"`
-	User      *int `json:"user"`
-}
-
-func (f *routingFields) field(name string) *int {
-	switch name {
-	case "publisher":
-		return f.Publisher
-	case "candidate":
-		return f.Candidate
-	case "from":
-		return f.From
-	case "to":
-		return f.To
-	default:
-		return f.User
-	}
-}
-
+// predict forwards a single-score route to the shard owning its routing
+// user. Only the routing view is decoded; full validation stays on the
+// replicas.
 func (rt *Router) predict(r route) http.HandlerFunc {
 	return func(w http.ResponseWriter, req *http.Request) {
 		if rt.draining.Load() {
-			writeError(w, http.StatusServiceUnavailable, "draining", "router is draining")
+			envelope.WriteError(w, http.StatusServiceUnavailable, "draining", "router is draining")
 			return
 		}
 		rt.cfg.Metrics.request(r.name)
 		rt.budget.earn()
 		body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, 1<<20))
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad_request", "bad request body: "+err.Error())
+			envelope.WriteError(w, http.StatusBadRequest, "bad_request", "bad request body: "+err.Error())
 			return
 		}
-		var rf routingFields
-		if err := json.Unmarshal(body, &rf); err != nil {
-			writeError(w, http.StatusBadRequest, "bad_request", "bad request body: "+err.Error())
+		var rv serve.Routing
+		if err := json.Unmarshal(body, &rv); err != nil {
+			envelope.WriteError(w, http.StatusBadRequest, "bad_request", "bad request body: "+err.Error())
 			return
 		}
-		user := rf.field(r.userField)
+		rv.Kind = r.kind
+		field, user := rv.RoutingUser()
 		if user == nil {
-			writeError(w, http.StatusBadRequest, "bad_request", "missing field "+r.userField)
+			envelope.WriteError(w, http.StatusBadRequest, "bad_request", "missing field "+field)
 			return
 		}
 		if *user < 0 {
-			writeError(w, http.StatusBadRequest, "bad_request",
-				fmt.Sprintf("%s %d out of range", r.userField, *user))
+			envelope.WriteError(w, http.StatusBadRequest, "bad_request",
+				fmt.Sprintf("%s %d out of range", field, *user))
 			return
 		}
 		shard := ShardOf(*user, len(rt.shards))
@@ -398,37 +351,29 @@ func (rt *Router) predict(r route) http.HandlerFunc {
 
 // ---- batch scatter/gather ----
 
-// batchRoutingItem is the loose per-item decode of a /v1/score/batch
-// entry: the kind plus just enough to find the routing user. Full
-// validation stays on the replicas.
-type batchRoutingItem struct {
-	Kind      string `json:"kind"`
-	Candidate *int   `json:"candidate"`
-	From      *int   `json:"from"`
-	User      *int   `json:"user"`
-}
-
-// routingUser is the shard-owning user for one batch item, mirroring
-// the per-route userField of the single-score surface.
-func (it *batchRoutingItem) routingUser() *int {
-	switch it.Kind {
-	case "retweet":
-		return it.Candidate
-	case "link":
-		return it.From
-	default:
-		return it.User
+// routeItem finds the shard owning one /v1/score/batch item from its
+// routing view alone; full validation stays on the replicas. A non-nil
+// slot is the item's error answer: it cannot be routed.
+func routeItem(raw []byte, shards int) (int, json.RawMessage) {
+	var rv serve.Routing
+	if err := json.Unmarshal(raw, &rv); err != nil {
+		return 0, errorItem("bad_request", "bad batch item: "+err.Error())
 	}
+	_, user := rv.RoutingUser()
+	if user == nil {
+		return 0, errorItem("bad_request", "missing routing user field")
+	}
+	if *user < 0 {
+		return 0, errorItem("bad_request", fmt.Sprintf("routing user %d out of range", *user))
+	}
+	return ShardOf(*user, shards), nil
 }
 
 // errorItem renders one failed batch slot in the replica's per-item
 // shape, so merged responses stay uniform regardless of which side
 // produced the slot.
 func errorItem(code, msg string) json.RawMessage {
-	b, _ := json.Marshal(struct {
-		Status string    `json:"status"`
-		Error  errorInfo `json:"error"`
-	}{"error", errorInfo{Code: code, Message: msg}})
+	b, _ := json.Marshal(serve.ErrorSlot(&envelope.Error{Code: code, Message: msg}))
 	return b
 }
 
@@ -441,25 +386,25 @@ func errorItem(code, msg string) json.RawMessage {
 func (rt *Router) scoreBatch() http.HandlerFunc {
 	return func(w http.ResponseWriter, req *http.Request) {
 		if rt.draining.Load() {
-			writeError(w, http.StatusServiceUnavailable, "draining", "router is draining")
+			envelope.WriteError(w, http.StatusServiceUnavailable, "draining", "router is draining")
 			return
 		}
 		rt.cfg.Metrics.request("batch")
 		rt.budget.earn()
 		body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, 4<<20))
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad_request", "bad request body: "+err.Error())
+			envelope.WriteError(w, http.StatusBadRequest, "bad_request", "bad request body: "+err.Error())
 			return
 		}
 		var in struct {
 			Items []json.RawMessage `json:"items"`
 		}
 		if err := json.Unmarshal(body, &in); err != nil {
-			writeError(w, http.StatusBadRequest, "bad_request", "bad request body: "+err.Error())
+			envelope.WriteError(w, http.StatusBadRequest, "bad_request", "bad request body: "+err.Error())
 			return
 		}
 		if len(in.Items) == 0 {
-			writeError(w, http.StatusBadRequest, "bad_request", "empty items")
+			envelope.WriteError(w, http.StatusBadRequest, "bad_request", "empty items")
 			return
 		}
 
@@ -468,22 +413,11 @@ func (rt *Router) scoreBatch() http.HandlerFunc {
 		shardItems := make(map[int][]json.RawMessage)
 		shardIdx := make(map[int][]int) // input slot of each sub-batch item
 		for i, raw := range in.Items {
-			var it batchRoutingItem
-			if err := json.Unmarshal(raw, &it); err != nil {
-				results[i] = errorItem("bad_request", "bad batch item: "+err.Error())
+			shard, slot := routeItem(raw, len(rt.shards))
+			if slot != nil {
+				results[i] = slot
 				continue
 			}
-			user := it.routingUser()
-			if user == nil {
-				results[i] = errorItem("bad_request", "missing routing user field")
-				continue
-			}
-			if *user < 0 {
-				results[i] = errorItem("bad_request",
-					fmt.Sprintf("routing user %d out of range", *user))
-				continue
-			}
-			shard := ShardOf(*user, len(rt.shards))
 			shardItems[shard] = append(shardItems[shard], raw)
 			shardIdx[shard] = append(shardIdx[shard], i)
 		}
@@ -520,7 +454,7 @@ func (rt *Router) scoreBatch() http.HandlerFunc {
 		if key != "" {
 			w.Header().Set("X-Cold-Model", key)
 		}
-		writeJSON(w, http.StatusOK, struct {
+		envelope.WriteJSON(w, http.StatusOK, struct {
 			Results    []json.RawMessage `json:"results"`
 			Generation uint64            `json:"generation"`
 			ModelKey   string            `json:"model_key,omitempty"`
@@ -557,7 +491,7 @@ func (rt *Router) mergeShardReply(results []json.RawMessage, idx []int, items []
 	if out.res != nil {
 		// Terminal non-200 (replica-side reject): surface the replica's
 		// envelope error on every item of the sub-batch.
-		var eb errorBody
+		var eb envelope.Body
 		code, msg := "internal", fmt.Sprintf("replica answered %d", out.res.status)
 		if err := json.Unmarshal(out.res.body, &eb); err == nil && eb.Error.Code != "" {
 			code, msg = eb.Error.Code, eb.Error.Message
@@ -570,8 +504,10 @@ func (rt *Router) mergeShardReply(results []json.RawMessage, idx []int, items []
 	// No replica answered: per-item degraded fallback where possible,
 	// the shed verdict otherwise.
 	for j, i := range idx {
-		if it, ok := rt.degradedItem(items[j]); ok {
-			results[i] = it
+		if it, res, ok := rt.fallbackScore(items[j], ""); ok {
+			slot := serve.Slot(it.Kind, &res, it.TopN)
+			slot.ModelKey, slot.Degraded = fallbackModelKey, true
+			results[i], _ = json.Marshal(slot)
 			*degraded = true
 			continue
 		}
@@ -585,14 +521,14 @@ func (rt *Router) mergeShardReply(results []json.RawMessage, idx []int, items []
 func (rt *Router) rank() http.HandlerFunc {
 	return func(w http.ResponseWriter, req *http.Request) {
 		if rt.draining.Load() {
-			writeError(w, http.StatusServiceUnavailable, "draining", "router is draining")
+			envelope.WriteError(w, http.StatusServiceUnavailable, "draining", "router is draining")
 			return
 		}
 		rt.cfg.Metrics.request("rank")
 		rt.budget.earn()
 		user, err := strconv.Atoi(req.PathValue("user"))
 		if err != nil || user < 0 {
-			writeError(w, http.StatusBadRequest, "bad_request", "bad user path segment")
+			envelope.WriteError(w, http.StatusBadRequest, "bad_request", "bad user path segment")
 			return
 		}
 		path := "/v1/rank/" + strconv.Itoa(user)
@@ -641,7 +577,7 @@ func (rt *Router) forward(w http.ResponseWriter, req *http.Request, r route, sha
 		rt.writeForwarded(w, out.res, out.key)
 		return
 	}
-	rt.degradeOrShed(w, r, shard, body, out.wait, out.code, out.msg)
+	rt.degradeOrShed(w, r, body, out.wait, out.code, out.msg)
 }
 
 // collect is the write-free core of forward: breaker check, replica
@@ -887,7 +823,7 @@ func (rt *Router) attemptOne(ctx context.Context, rep *replica, r route, key str
 
 	switch {
 	case resp.StatusCode >= 500:
-		if code := envelopeCode(raw); code == "brownout" || code == "deadline_unmeetable" {
+		if code := envelope.CodeOf(raw); code == "brownout" || code == "deadline_unmeetable" {
 			// A deliberate pressure shed: the replica answered fast, from
 			// under load, with a verdict — it is not failing, and retrying
 			// into the heat would only deepen it. Relay the shed to the
@@ -986,25 +922,16 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 
 // ---- degraded fallback ----
 
-// fallbackRequest mirrors the replica-side prediction body for the
-// degraded local answer path.
-type fallbackRequest struct {
-	Publisher *int  `json:"publisher"`
-	Candidate *int  `json:"candidate"`
-	From      *int  `json:"from"`
-	To        *int  `json:"to"`
-	User      *int  `json:"user"`
-	Post      *int  `json:"post"`
-	Words     []int `json:"words"`
-	TopN      int   `json:"topn"`
-}
-
-// degradeOrShed is the end of the line: answer from the fallback engine
-// (marked degraded) when one is configured and the route permits, else
-// shed with a jittered Retry-After.
-func (rt *Router) degradeOrShed(w http.ResponseWriter, r route, shard int, body []byte, wait time.Duration, code, msg string) {
-	if rt.cfg.Fallback != nil && rt.answerDegraded(w, r, body) {
-		return
+// degradeOrShed is the end of the line: answer a single-score route from
+// the fallback engine (marked degraded) when one is configured and can
+// score the request, else shed with a jittered Retry-After.
+func (rt *Router) degradeOrShed(w http.ResponseWriter, r route, body []byte, wait time.Duration, code, msg string) {
+	if r.kind != "" {
+		if it, res, ok := rt.fallbackScore(body, r.kind); ok {
+			w.Header().Set("X-Cold-Model", fallbackModelKey)
+			envelope.WriteJSON(w, http.StatusOK, serve.Single(it.Kind, &res, it.TopN, 0, fallbackModelKey, true))
+			return
+		}
 	}
 	if rt.cfg.Fallback == nil {
 		rt.cfg.Metrics.proxyError()
@@ -1014,166 +941,51 @@ func (rt *Router) degradeOrShed(w http.ResponseWriter, r route, shard int, body 
 	}
 	// Jitter the hint ±50% so shed clients spread their comebacks.
 	wait = time.Duration(float64(wait) * (0.5 + rt.rng.Float64()))
-	w.Header().Set("Retry-After", strconv.Itoa(int((wait+time.Second-1)/time.Second)))
-	writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: errorInfo{
-		Code: code, Message: msg, RetryAfterMS: wait.Milliseconds(),
-	}})
+	envelope.WriteShed(w, http.StatusServiceUnavailable, code, msg, wait)
 }
 
-// answerDegraded computes the response locally from the fallback
-// engine. It reports false when the request cannot be answered at all
-// (bad body, unresolvable post, topics route), in which case the caller
-// sheds instead.
-func (rt *Router) answerDegraded(w http.ResponseWriter, r route, body []byte) bool {
-	var req fallbackRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return false
-	}
-	eng := rt.cfg.Fallback
-	users := eng.Info().Users
-	valid := func(v *int) bool { return v != nil && *v >= 0 && *v < users }
-	bag := func() (text.BagOfWords, bool) {
-		switch {
-		case req.Words != nil:
-			return text.NewBagOfWords(req.Words), true
-		case req.Post != nil && rt.cfg.Posts != nil:
-			return rt.cfg.Posts(*req.Post)
-		default:
-			return text.BagOfWords{}, false
-		}
-	}
-
-	var sr serve.ScoreRequest
-	switch r.name {
-	case "retweet":
-		words, ok := bag()
-		if !ok || !valid(req.Publisher) || !valid(req.Candidate) {
-			return false
-		}
-		sr = serve.ScoreRequest{Kind: serve.KindRetweet,
-			Publisher: *req.Publisher, Candidate: *req.Candidate, Words: words}
-	case "link":
-		if !valid(req.From) || !valid(req.To) {
-			return false
-		}
-		sr = serve.ScoreRequest{Kind: serve.KindLink, From: *req.From, To: *req.To}
-	case "time":
-		words, ok := bag()
-		if !ok || !valid(req.User) {
-			return false
-		}
-		sr = serve.ScoreRequest{Kind: serve.KindTime, User: *req.User, Words: words}
-	default: // topics, rank: the popularity prior has neither
-		return false
-	}
-	res := eng.ScoreBatch(context.Background(), []serve.ScoreRequest{sr})
-	if res[0].Err != nil {
-		return false
-	}
-
-	var out any
-	if r.name == "time" {
-		out = struct {
-			Slice      int    `json:"slice"`
-			Generation uint64 `json:"generation"`
-			ModelKey   string `json:"model_key"`
-			Degraded   bool   `json:"degraded"`
-		}{res[0].Slice, 0, fallbackModelKey, true}
-	} else {
-		out = degradedScore{Score: res[0].Score, ModelKey: fallbackModelKey, Degraded: true}
-	}
-	rt.cfg.Metrics.degradedAnswer()
-	w.Header().Set("X-Cold-Model", fallbackModelKey)
-	writeJSON(w, http.StatusOK, out)
-	return true
-}
-
-// degradedItem answers one batch item locally from the fallback engine,
-// rendered in the replica's per-item result shape. false means the item
-// cannot be answered at all (no fallback, bad item, topics kind).
-func (rt *Router) degradedItem(raw json.RawMessage) (json.RawMessage, bool) {
+// fallbackScore answers one item locally from the fallback engine:
+// raw is a batch item, or a single-route body when kind is set. The
+// item is validated by the replicas' own Build. false means it cannot
+// be answered at all (no fallback, invalid item, topics kind).
+func (rt *Router) fallbackScore(raw []byte, kind serve.Kind) (*serve.ScoreItem, serve.ScoreResult, bool) {
 	eng := rt.cfg.Fallback
 	if eng == nil {
-		return nil, false
+		return nil, serve.ScoreResult{}, false
 	}
-	var req struct {
-		Kind string `json:"kind"`
-		fallbackRequest
+	var it serve.ScoreItem
+	if err := json.Unmarshal(raw, &it); err != nil {
+		return nil, serve.ScoreResult{}, false
 	}
-	if err := json.Unmarshal(raw, &req); err != nil {
-		return nil, false
+	if kind != "" {
+		it.Kind = kind
 	}
-	users := eng.Info().Users
-	valid := func(v *int) bool { return v != nil && *v >= 0 && *v < users }
-	bag := func() (text.BagOfWords, bool) {
-		switch {
-		case req.Words != nil:
-			return text.NewBagOfWords(req.Words), true
-		case req.Post != nil && rt.cfg.Posts != nil:
-			return rt.cfg.Posts(*req.Post)
-		default:
-			return text.BagOfWords{}, false
+	sc := serve.Scope{Info: eng.Info()}
+	if posts := rt.cfg.Posts; posts != nil {
+		sc.Post = func(p int) (text.BagOfWords, error) {
+			if b, ok := posts(p); ok {
+				return b, nil
+			}
+			return text.BagOfWords{}, errNoPost
 		}
 	}
-
-	var sr serve.ScoreRequest
-	switch req.Kind {
-	case "retweet":
-		words, ok := bag()
-		if !ok || !valid(req.Publisher) || !valid(req.Candidate) {
-			return nil, false
-		}
-		sr = serve.ScoreRequest{Kind: serve.KindRetweet,
-			Publisher: *req.Publisher, Candidate: *req.Candidate, Words: words}
-	case "link":
-		if !valid(req.From) || !valid(req.To) {
-			return nil, false
-		}
-		sr = serve.ScoreRequest{Kind: serve.KindLink, From: *req.From, To: *req.To}
-	case "time":
-		words, ok := bag()
-		if !ok || !valid(req.User) {
-			return nil, false
-		}
-		sr = serve.ScoreRequest{Kind: serve.KindTime, User: *req.User, Words: words}
-	default: // topics: the popularity prior has no topic model
-		return nil, false
+	req, ei := it.Build(&sc)
+	if ei != nil {
+		return nil, serve.ScoreResult{}, false
 	}
-	res := eng.ScoreBatch(context.Background(), []serve.ScoreRequest{sr})
-	if res[0].Err != nil {
-		return nil, false
+	res := eng.ScoreBatch(context.Background(), []serve.ScoreRequest{req})[0]
+	if res.Err != nil {
+		return nil, serve.ScoreResult{}, false
 	}
 	rt.cfg.Metrics.degradedAnswer()
-
-	var out []byte
-	if req.Kind == "time" {
-		out, _ = json.Marshal(struct {
-			Status   string `json:"status"`
-			Slice    int    `json:"slice"`
-			ModelKey string `json:"model_key"`
-			Degraded bool   `json:"degraded"`
-		}{"ok", res[0].Slice, fallbackModelKey, true})
-	} else {
-		out, _ = json.Marshal(struct {
-			Status   string  `json:"status"`
-			Score    float64 `json:"score"`
-			ModelKey string  `json:"model_key"`
-			Degraded bool    `json:"degraded"`
-		}{"ok", res[0].Score, fallbackModelKey, true})
-	}
-	return out, true
+	return &it, res, true
 }
+
+var errNoPost = errors.New("post not found")
 
 // fallbackModelKey marks router-local degraded answers; it matches the
 // key replicas report while serving from their own fallback engine.
 const fallbackModelKey = "fallback"
-
-type degradedScore struct {
-	Score      float64 `json:"score"`
-	Generation uint64  `json:"generation"`
-	ModelKey   string  `json:"model_key"`
-	Degraded   bool    `json:"degraded"`
-}
 
 // ---- status and liveness ----
 
@@ -1235,7 +1047,7 @@ func (rt *Router) Status() StatusReply {
 }
 
 func (rt *Router) handleStatus(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, rt.Status())
+	envelope.WriteJSON(w, http.StatusOK, rt.Status())
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -1243,92 +1055,12 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if rt.draining.Load() {
 		status, code = "draining", http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, struct {
+	envelope.WriteJSON(w, code, struct {
 		Status   string  `json:"status"`
 		UptimeS  float64 `json:"uptime_s"`
 		Draining bool    `json:"draining"`
 		Shards   int     `json:"shards"`
 	}{status, time.Since(rt.start).Seconds(), rt.draining.Load(), len(rt.shards)})
-}
-
-// ---- error envelope (same shape as internal/serve) ----
-
-type errorInfo struct {
-	Code         string `json:"code"`
-	Message      string `json:"message"`
-	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
-}
-
-type errorBody struct {
-	Error errorInfo `json:"error"`
-}
-
-// envelopeCode extracts the error code of an enveloped non-2xx body,
-// empty when the body is not the shared envelope.
-func envelopeCode(raw []byte) string {
-	var eb errorBody
-	if json.Unmarshal(raw, &eb) != nil {
-		return ""
-	}
-	return eb.Error.Code
-}
-
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(body)
-}
-
-func writeError(w http.ResponseWriter, status int, code, msg string) {
-	writeJSON(w, status, errorBody{Error: errorInfo{Code: code, Message: msg}})
-}
-
-// envelope normalises mux-generated plain-text 404/405 bodies into the
-// shared JSON envelope; forwarded replica errors are already enveloped.
-func envelope(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		next.ServeHTTP(&envelopeWriter{ResponseWriter: w}, r)
-	})
-}
-
-type envelopeWriter struct {
-	http.ResponseWriter
-	wroteHeader bool
-	intercepted bool
-}
-
-func (ew *envelopeWriter) WriteHeader(status int) {
-	if ew.wroteHeader {
-		return
-	}
-	ew.wroteHeader = true
-	if status >= 400 && !strings.HasPrefix(ew.Header().Get("Content-Type"), "application/json") {
-		ew.intercepted = true
-		ew.Header().Del("Content-Length")
-		ew.Header().Del("X-Content-Type-Options")
-		ew.Header().Set("Content-Type", "application/json")
-		ew.ResponseWriter.WriteHeader(status)
-		code, msg := "error", http.StatusText(status)
-		switch status {
-		case http.StatusNotFound:
-			code, msg = "not_found", "no such endpoint"
-		case http.StatusMethodNotAllowed:
-			code, msg = "method_not_allowed", "method not allowed for this endpoint"
-		}
-		json.NewEncoder(ew.ResponseWriter).Encode(errorBody{Error: errorInfo{Code: code, Message: msg}})
-		return
-	}
-	ew.ResponseWriter.WriteHeader(status)
-}
-
-func (ew *envelopeWriter) Write(b []byte) (int, error) {
-	if !ew.wroteHeader {
-		ew.WriteHeader(http.StatusOK)
-	}
-	if ew.intercepted {
-		return len(b), nil
-	}
-	return ew.ResponseWriter.Write(b)
 }
 
 // lockedRand is a seeded, mutex-guarded rand source: the router jitters

@@ -43,17 +43,17 @@ type RunOptions struct {
 	// value disables the collapse check (NaN/Inf and negative-counter
 	// guards always stay on).
 	DivergenceDrop float64
-	// SweepTimeout, when > 0, bounds each parallel phase of a GAS
-	// superstep (gather+apply, one scatter pass): a phase that overruns
-	// is aborted by the stall supervisor and the sweep is retried from
-	// the last in-memory snapshot with a freshly built sampler. Serial
-	// runs (Workers <= 1) are not covered — supervise them with the
-	// process-level watchdog (supervise.Run) via Heartbeat instead.
+	// SweepTimeout, when > 0, bounds the scatter of each colour batch
+	// of the GAS engine (the boundary merge after it runs on the calling
+	// goroutine and is not covered): a batch that overruns is aborted by
+	// the stall supervisor and the sweep is retried from the last
+	// in-memory snapshot with a freshly built sampler. Serial runs (Workers <= 1) are not covered — supervise
+	// them with the process-level watchdog (supervise.Run) via Heartbeat
+	// instead.
 	SweepTimeout time.Duration
 	// StallGrace, when > 0, bounds one GAS worker's heartbeat silence:
-	// a worker that processes no vertex/edge for longer than this is
-	// declared stalled and the sweep is aborted and retried as for
-	// SweepTimeout.
+	// a worker that scatters no edge for longer than this is declared
+	// stalled and the sweep is aborted and retried as for SweepTimeout.
 	StallGrace time.Duration
 	// MaxCheckpointFailures is how many consecutive checkpoint-write
 	// failures are tolerated (logged, counted, training continues on the
@@ -184,8 +184,8 @@ func newSweeper(data *corpus.Dataset, cfg Config, resume *Checkpoint, gm *gas.Me
 	return newSerialSampler(data, cfg, resume)
 }
 
-// runTraining is the shared resilient loop behind TrainWithStats,
-// TrainRun and ResumeTraining.
+// runTraining is the shared resilient loop behind TrainWithStats (and
+// so Train), TrainRun, ResumeTraining and ResumeTrainingLatest.
 func runTraining(ctx context.Context, data *corpus.Dataset, cfg Config, opts RunOptions, resume *Checkpoint) (*Model, *TrainStats, error) {
 	start := time.Now()
 	cfg, err := validateTrainInputs(data, cfg)

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"time"
 
+	"github.com/cold-diffusion/cold/internal/envelope"
 	"github.com/cold-diffusion/cold/internal/overload"
 )
 
@@ -49,7 +50,7 @@ func (s *Server) Handler() http.Handler {
 		mux.Handle("GET /metrics", mh)
 		mux.Handle("GET /v1/metrics", mh)
 	}
-	return jsonErrors(mux)
+	return envelope.Middleware(mux)
 }
 
 // ingestResponse acknowledges one accepted record. seq is the record's
@@ -68,12 +69,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if v := r.Header.Get(overload.DeadlineHeader); v != "" {
 		ms, perr := strconv.ParseInt(v, 10, 64)
 		if perr != nil {
-			writeError(w, http.StatusBadRequest, "bad_request",
+			envelope.WriteError(w, http.StatusBadRequest, "bad_request",
 				fmt.Sprintf("bad %s header %q", overload.DeadlineHeader, v))
 			return
 		}
 		if ms <= 0 {
-			writeError(w, http.StatusServiceUnavailable, "deadline_exceeded",
+			envelope.WriteError(w, http.StatusServiceUnavailable, "deadline_exceeded",
 				"request deadline already expired at admission")
 			return
 		}
@@ -85,43 +86,38 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&rec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "bad request body: "+err.Error())
+		envelope.WriteError(w, http.StatusBadRequest, "bad_request", "bad request body: "+err.Error())
 		return
 	}
 	seq, err := s.ing.Submit(ctx, rec)
 	switch {
 	case err == nil:
-		writeJSON(w, http.StatusOK, ingestResponse{Seq: seq, Durable: true})
+		envelope.WriteJSON(w, http.StatusOK, ingestResponse{Seq: seq, Durable: true})
 	case errors.Is(err, ErrInvalidRecord):
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+		envelope.WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
 	case errors.Is(err, ErrOverloaded):
-		ra := s.ing.RetryAfter()
-		w.Header().Set("Retry-After", strconv.Itoa(int((ra+time.Second-1)/time.Second)))
-		writeJSON(w, http.StatusTooManyRequests, errorBody{Error: errorInfo{
-			Code:         "overloaded",
-			Message:      "ingest queue full, retry later",
-			RetryAfterMS: ra.Milliseconds(),
-		}})
+		envelope.WriteShed(w, http.StatusTooManyRequests, "overloaded",
+			"ingest queue full, retry later", s.ing.RetryAfter())
 	case errors.Is(err, ErrDraining):
-		writeError(w, http.StatusServiceUnavailable, "draining", "ingester is draining")
+		envelope.WriteError(w, http.StatusServiceUnavailable, "draining", "ingester is draining")
 	case errors.Is(err, context.DeadlineExceeded):
 		// The propagated deadline ran out while blocked on backpressure;
 		// nothing durable happened, and the upstream has already given
 		// up on the answer.
-		writeError(w, http.StatusServiceUnavailable, "deadline_exceeded",
+		envelope.WriteError(w, http.StatusServiceUnavailable, "deadline_exceeded",
 			"request deadline expired before the record was durable")
 	case errors.Is(err, context.Canceled):
 		// The client went away while blocked on backpressure; nothing
 		// durable happened. 503 tells a proxy the request is retryable.
-		writeError(w, http.StatusServiceUnavailable, "canceled", "request canceled before the record was durable")
+		envelope.WriteError(w, http.StatusServiceUnavailable, "canceled", "request canceled before the record was durable")
 	default:
 		s.logf("ingest: submit failed: %v", err)
-		writeError(w, http.StatusInternalServerError, "wal_error", "record could not be made durable")
+		envelope.WriteError(w, http.StatusInternalServerError, "wal_error", "record could not be made durable")
 	}
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.ing.Status())
+	envelope.WriteJSON(w, http.StatusOK, s.ing.Status())
 }
 
 // handleHealthz reports liveness plus the published model generation
@@ -143,7 +139,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if s.ing.Draining() {
 		body.Status, body.Draining, code = "draining", true, http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, body)
+	envelope.WriteJSON(w, code, body)
 }
 
 // Serve runs the firehose endpoint on ln until ctx is cancelled, then
@@ -184,74 +180,4 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	}
 	s.logf("ingest: drained cleanly")
 	return nil
-}
-
-// ---- error envelope (same shape as internal/serve) ----
-
-type errorInfo struct {
-	Code         string `json:"code"`
-	Message      string `json:"message"`
-	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
-}
-
-type errorBody struct {
-	Error errorInfo `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(body)
-}
-
-func writeError(w http.ResponseWriter, status int, code, msg string) {
-	writeJSON(w, status, errorBody{Error: errorInfo{Code: code, Message: msg}})
-}
-
-// jsonErrors normalises mux-generated plain-text 404/405 bodies into the
-// shared envelope.
-func jsonErrors(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		next.ServeHTTP(&errWriter{ResponseWriter: w}, r)
-	})
-}
-
-type errWriter struct {
-	http.ResponseWriter
-	wroteHeader bool
-	intercepted bool
-}
-
-func (ew *errWriter) WriteHeader(status int) {
-	if ew.wroteHeader {
-		return
-	}
-	ew.wroteHeader = true
-	if status >= 400 && ew.Header().Get("Content-Type") != "application/json" {
-		ew.intercepted = true
-		ew.Header().Del("Content-Length")
-		ew.Header().Del("X-Content-Type-Options")
-		ew.Header().Set("Content-Type", "application/json")
-		ew.ResponseWriter.WriteHeader(status)
-		code, msg := "error", http.StatusText(status)
-		switch status {
-		case http.StatusNotFound:
-			code, msg = "not_found", "no such endpoint"
-		case http.StatusMethodNotAllowed:
-			code, msg = "method_not_allowed", "method not allowed for this endpoint"
-		}
-		json.NewEncoder(ew.ResponseWriter).Encode(errorBody{Error: errorInfo{Code: code, Message: msg}})
-		return
-	}
-	ew.ResponseWriter.WriteHeader(status)
-}
-
-func (ew *errWriter) Write(b []byte) (int, error) {
-	if !ew.wroteHeader {
-		ew.WriteHeader(http.StatusOK)
-	}
-	if ew.intercepted {
-		return len(b), nil
-	}
-	return ew.ResponseWriter.Write(b)
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/cold-diffusion/cold/internal/envelope"
 	"github.com/cold-diffusion/cold/internal/obs"
 )
 
@@ -62,13 +63,13 @@ func TestServerIngestEndpoint(t *testing.T) {
 	bad := streamRecord(base, 1)
 	bad.Words.IDs[0] = base.V + 7
 	resp = postJSON(t, ts.URL+"/v1/ingest", bad)
-	var envelope errorBody
-	decodeBody(t, resp, &envelope)
-	if resp.StatusCode != http.StatusBadRequest || envelope.Error.Code != "bad_request" {
-		t.Fatalf("invalid record: %s, code %q", resp.Status, envelope.Error.Code)
+	var env envelope.Body
+	decodeBody(t, resp, &env)
+	if resp.StatusCode != http.StatusBadRequest || env.Error.Code != "bad_request" {
+		t.Fatalf("invalid record: %s, code %q", resp.Status, env.Error.Code)
 	}
-	if !strings.Contains(envelope.Error.Message, "out of range") {
-		t.Fatalf("error message %q lacks the validation detail", envelope.Error.Message)
+	if !strings.Contains(env.Error.Message, "out of range") {
+		t.Fatalf("error message %q lacks the validation detail", env.Error.Message)
 	}
 
 	// Malformed JSON and unknown fields are 400s too.
@@ -76,7 +77,7 @@ func TestServerIngestEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decodeBody(t, resp, &envelope)
+	decodeBody(t, resp, &env)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("truncated JSON: %s", resp.Status)
 	}
@@ -86,9 +87,9 @@ func TestServerIngestEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decodeBody(t, resp, &envelope)
-	if resp.StatusCode != http.StatusNotFound || envelope.Error.Code != "not_found" {
-		t.Fatalf("unknown path: %s, code %q", resp.Status, envelope.Error.Code)
+	decodeBody(t, resp, &env)
+	if resp.StatusCode != http.StatusNotFound || env.Error.Code != "not_found" {
+		t.Fatalf("unknown path: %s, code %q", resp.Status, env.Error.Code)
 	}
 
 	// Status reflects the acked record.
@@ -143,12 +144,12 @@ func TestServerShedsWithRetryAfter(t *testing.T) {
 	if err != nil || sec < 2 || sec > 5 {
 		t.Fatalf("Retry-After header = %q, want an integer in [2,5]", resp.Header.Get("Retry-After"))
 	}
-	var envelope errorBody
-	decodeBody(t, resp, &envelope)
-	if envelope.Error.Code != "overloaded" {
-		t.Fatalf("shed envelope = %+v", envelope.Error)
+	var env envelope.Body
+	decodeBody(t, resp, &env)
+	if env.Error.Code != "overloaded" {
+		t.Fatalf("shed env = %+v", env.Error)
 	}
-	if ms := envelope.Error.RetryAfterMS; ms < 1500 || ms > 4500 {
+	if ms := env.Error.RetryAfterMS; ms < 1500 || ms > 4500 {
 		t.Fatalf("retry_after_ms = %d, want within the jitter window [1500,4500]", ms)
 	}
 }

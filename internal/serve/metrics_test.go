@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/cold-diffusion/cold/internal/core"
+	"github.com/cold-diffusion/cold/internal/envelope"
 	"github.com/cold-diffusion/cold/internal/faultinject"
 	"github.com/cold-diffusion/cold/internal/obs"
 )
@@ -65,15 +66,15 @@ func TestErrorEnvelopeEverywhere(t *testing.T) {
 	mgr, _ := loadedManager(t)
 	ts := startServer(t, Config{}, mgr, true)
 
-	var e errorBody
+	var e envelope.Body
 	if code, _ := ts.call("GET", "/v1/no/such/route", nil, &e); code != 404 || e.Error.Code != "not_found" {
 		t.Errorf("unknown route = %d %+v, want 404 not_found", code, e.Error)
 	}
-	e = errorBody{}
+	e = envelope.Body{}
 	if code, _ := ts.call("DELETE", "/v1/predict/retweet", nil, &e); code != 405 || e.Error.Code != "method_not_allowed" {
 		t.Errorf("wrong method = %d %+v, want 405 method_not_allowed", code, e.Error)
 	}
-	e = errorBody{}
+	e = envelope.Body{}
 	if code, _ := ts.call("POST", "/v1/predict/retweet", map[string]any{}, &e); code != 400 || e.Error.Code != "bad_request" {
 		t.Errorf("empty body = %d %+v, want 400 bad_request", code, e.Error)
 	}
@@ -87,7 +88,7 @@ func TestTimeoutBodyUsesEnvelope(t *testing.T) {
 	ts := startServer(t, Config{RequestTimeout: 50 * time.Millisecond}, mgr, true)
 	faultinject.Set(faultinject.ServeHandler, func(...any) { time.Sleep(300 * time.Millisecond) })
 
-	var e errorBody
+	var e envelope.Body
 	code, hdr := ts.call("POST", "/v1/predict/retweet",
 		map[string]any{"publisher": 0, "candidate": 1, "post": 0}, &e)
 	if code != http.StatusServiceUnavailable || e.Error.Code != "deadline_exceeded" {
@@ -180,7 +181,7 @@ func TestMetricsReflectShedAndDegraded(t *testing.T) {
 		ts.call("POST", "/v1/predict/retweet", body, nil)
 	}()
 	<-started
-	var e errorBody
+	var e envelope.Body
 	code, _ := ts.call("POST", "/v1/predict/retweet", body, &e)
 	if code != http.StatusTooManyRequests || e.Error.Code != "overloaded" {
 		t.Fatalf("overload = %d %+v, want 429 overloaded", code, e.Error)

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"time"
 
+	"github.com/cold-diffusion/cold/internal/envelope"
 	"github.com/cold-diffusion/cold/internal/overload"
 )
 
@@ -44,21 +45,6 @@ type (
 	tierKey   struct{}
 	ticketKey struct{}
 )
-
-// defaultTier maps a route to the tier it serves when the client sends
-// no X-Cold-Priority: single predictions are interactive, bulk scoring
-// is batch, ranking reads are rank. Background is never a default —
-// only self-declared (ingest fold-in, warmers, backfills).
-func defaultTier(route string) overload.Tier {
-	switch route {
-	case "batch":
-		return overload.TierBatch
-	case "rank":
-		return overload.TierRank
-	default:
-		return overload.TierInteractive
-	}
-}
 
 // requestTier resolves the effective tier: a valid X-Cold-Priority
 // header wins, otherwise the route default. An unknown name degrades
@@ -144,13 +130,9 @@ func (s *Server) brownoutShed(w http.ResponseWriter, route string, tier overload
 		return false
 	}
 	s.ctrl.RecordShed(tier, overload.ReasonBrownout)
-	retry := jitteredRetry(s.cfg.RetryAfter)
-	w.Header().Set("Retry-After", retrySeconds(retry))
-	writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: errorInfo{
-		Code:         "brownout",
-		Message:      fmt.Sprintf("brownout L%d: %s traffic is shed until pressure drops", lvl, tier),
-		RetryAfterMS: retry.Milliseconds(),
-	}})
+	envelope.WriteShed(w, http.StatusServiceUnavailable, "brownout",
+		fmt.Sprintf("brownout L%d: %s traffic is shed until pressure drops", lvl, tier),
+		jitteredRetry(s.cfg.RetryAfter))
 	return true
 }
 
@@ -160,24 +142,19 @@ func (s *Server) shedError(w http.ResponseWriter, err error) {
 	case errors.Is(err, overload.ErrQueueFull):
 		// The classic overload answer, kept byte-compatible with the
 		// old static pool: 429 + jittered Retry-After.
-		retry := jitteredRetry(s.cfg.RetryAfter)
-		w.Header().Set("Retry-After", retrySeconds(retry))
-		writeJSON(w, http.StatusTooManyRequests, errorBody{Error: errorInfo{
-			Code:         "overloaded",
-			Message:      "overloaded, retry later",
-			RetryAfterMS: retry.Milliseconds(),
-		}})
+		envelope.WriteShed(w, http.StatusTooManyRequests, "overloaded",
+			"overloaded, retry later", jitteredRetry(s.cfg.RetryAfter))
 	case errors.Is(err, overload.ErrDeadlineUnmeetable):
-		writeError(w, http.StatusServiceUnavailable, "deadline_unmeetable",
+		envelope.WriteError(w, http.StatusServiceUnavailable, "deadline_unmeetable",
 			"deadline cannot be met at the current service rate")
 	case errors.Is(err, overload.ErrExpiredInQueue):
-		writeError(w, http.StatusServiceUnavailable, "deadline_exceeded",
+		envelope.WriteError(w, http.StatusServiceUnavailable, "deadline_exceeded",
 			"request deadline expired while queued for admission")
 	case errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusServiceUnavailable, "deadline_exceeded",
+		envelope.WriteError(w, http.StatusServiceUnavailable, "deadline_exceeded",
 			"request deadline exceeded")
 	default: // context.Canceled: the client is gone; answer for the log's sake
-		writeError(w, http.StatusServiceUnavailable, "canceled", "request canceled")
+		envelope.WriteError(w, http.StatusServiceUnavailable, "canceled", "request canceled")
 	}
 }
 
@@ -185,11 +162,6 @@ func (s *Server) shedError(w http.ResponseWriter, err error) {
 // come back as one synchronized retry herd (same policy as the ingester).
 func jitteredRetry(base time.Duration) time.Duration {
 	return time.Duration(float64(base) * (0.5 + rand.Float64()))
-}
-
-// retrySeconds renders a Retry-After header value, rounded up.
-func retrySeconds(d time.Duration) string {
-	return strconv.Itoa(int((d + time.Second - 1) / time.Second))
 }
 
 // deadlineWriter is the last line of the never-serve-past-deadline

@@ -19,11 +19,12 @@
 //
 //   - The prediction hot path: the Engine contract is batch-first
 //     (ScoreBatch with per-item error slots, POST /v1/score/batch on
-//     the wire), single-score routes are thin adapters that coalesce
-//     through a micro-batching window, repeat scores are answered from
-//     a generation-keyed cache whose entries die wholesale on model
-//     swap, and per-community top-k candidate rankings are precomputed
-//     once per reload for GET /v1/rank/{user}.
+//     the wire), each single-score route is a one-item view of a batch
+//     item (wire.go) that coalesces through a micro-batching window,
+//     repeat scores are answered from a generation-keyed cache whose
+//     entries die wholesale on model swap, and per-community top-k
+//     candidate rankings are precomputed once per reload for
+//     GET /v1/rank/{user}.
 //
 //   - Graceful lifecycle: /healthz (process liveness) and /readyz
 //     (model state: starting → ready/degraded → draining), and a
@@ -154,6 +155,35 @@ func badUser(name string, v, n int) error {
 	return fmt.Errorf("%w: %s %d out of range [0,%d)", ErrBadItem, name, v, n)
 }
 
+// check fails a request whose kind is unknown or whose users fall
+// outside [0, users). Handlers validate items with ScoreItem.Build
+// first; the engines still run check, since ScoreBatch is also called
+// directly and must never index out of range.
+func (r *ScoreRequest) check(users int) error {
+	in := func(name string, v int) error {
+		if v < 0 || v >= users {
+			return badUser(name, v, users)
+		}
+		return nil
+	}
+	switch r.Kind {
+	case KindRetweet:
+		if err := in("publisher", r.Publisher); err != nil {
+			return err
+		}
+		return in("candidate", r.Candidate)
+	case KindLink:
+		if err := in("from", r.From); err != nil {
+			return err
+		}
+		return in("to", r.To)
+	case KindTime, KindTopics:
+		return in("user", r.User)
+	default:
+		return fmt.Errorf("%w: unknown kind %q", ErrBadItem, r.Kind)
+	}
+}
+
 // modelEngine adapts a trained model + its offline predictor caches
 // (per-user TopComm lists and per-community top-k candidate rankings).
 type modelEngine struct {
@@ -182,45 +212,23 @@ func (e modelEngine) Info() ModelInfo {
 
 func (e modelEngine) ScoreBatch(ctx context.Context, reqs []ScoreRequest) []ScoreResult {
 	out := make([]ScoreResult, len(reqs))
-	U := e.m.U
 	for i := range reqs {
 		if checkCtx(ctx, out, i) {
 			return out
 		}
 		r := &reqs[i]
+		if out[i].Err = r.check(e.m.U); out[i].Err != nil {
+			continue
+		}
 		switch r.Kind {
 		case KindRetweet:
-			switch {
-			case r.Publisher < 0 || r.Publisher >= U:
-				out[i].Err = badUser("publisher", r.Publisher, U)
-			case r.Candidate < 0 || r.Candidate >= U:
-				out[i].Err = badUser("candidate", r.Candidate, U)
-			default:
-				out[i].Score = e.p.Score(r.Publisher, r.Candidate, r.Words)
-			}
+			out[i].Score = e.p.Score(r.Publisher, r.Candidate, r.Words)
 		case KindLink:
-			switch {
-			case r.From < 0 || r.From >= U:
-				out[i].Err = badUser("from", r.From, U)
-			case r.To < 0 || r.To >= U:
-				out[i].Err = badUser("to", r.To, U)
-			default:
-				out[i].Score = e.m.LinkScore(r.From, r.To)
-			}
+			out[i].Score = e.m.LinkScore(r.From, r.To)
 		case KindTime:
-			if r.User < 0 || r.User >= U {
-				out[i].Err = badUser("user", r.User, U)
-			} else {
-				out[i].Slice = e.m.PredictTimestamp(r.User, r.Words)
-			}
+			out[i].Slice = e.m.PredictTimestamp(r.User, r.Words)
 		case KindTopics:
-			if r.User < 0 || r.User >= U {
-				out[i].Err = badUser("user", r.User, U)
-			} else {
-				out[i].Topics = e.p.TopicPosterior(r.User, r.Words)
-			}
-		default:
-			out[i].Err = fmt.Errorf("%w: unknown kind %q", ErrBadItem, r.Kind)
+			out[i].Topics = e.p.TopicPosterior(r.User, r.Words)
 		}
 	}
 	return out
@@ -248,41 +256,25 @@ func (e fallbackEngine) Info() ModelInfo {
 
 func (e fallbackEngine) ScoreBatch(ctx context.Context, reqs []ScoreRequest) []ScoreResult {
 	out := make([]ScoreResult, len(reqs))
-	U := e.f.Users()
 	for i := range reqs {
 		if checkCtx(ctx, out, i) {
 			return out
 		}
 		r := &reqs[i]
+		if r.Kind == KindTopics {
+			out[i].Err = ErrDegraded
+			continue
+		}
+		if out[i].Err = r.check(e.f.Users()); out[i].Err != nil {
+			continue
+		}
 		switch r.Kind {
 		case KindRetweet:
-			switch {
-			case r.Publisher < 0 || r.Publisher >= U:
-				out[i].Err = badUser("publisher", r.Publisher, U)
-			case r.Candidate < 0 || r.Candidate >= U:
-				out[i].Err = badUser("candidate", r.Candidate, U)
-			default:
-				out[i].Score = e.f.Score(r.Publisher, r.Candidate, r.Words)
-			}
+			out[i].Score = e.f.Score(r.Publisher, r.Candidate, r.Words)
 		case KindLink:
-			switch {
-			case r.From < 0 || r.From >= U:
-				out[i].Err = badUser("from", r.From, U)
-			case r.To < 0 || r.To >= U:
-				out[i].Err = badUser("to", r.To, U)
-			default:
-				out[i].Score = e.f.LinkScore(r.From, r.To)
-			}
+			out[i].Score = e.f.LinkScore(r.From, r.To)
 		case KindTime:
-			if r.User < 0 || r.User >= U {
-				out[i].Err = badUser("user", r.User, U)
-			} else {
-				out[i].Slice = e.f.PredictTimestamp(r.User, r.Words)
-			}
-		case KindTopics:
-			out[i].Err = ErrDegraded
-		default:
-			out[i].Err = fmt.Errorf("%w: unknown kind %q", ErrBadItem, r.Kind)
+			out[i].Slice = e.f.PredictTimestamp(r.User, r.Words)
 		}
 	}
 	return out

@@ -8,15 +8,14 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
 	"github.com/cold-diffusion/cold/internal/core"
 	"github.com/cold-diffusion/cold/internal/corpus"
+	"github.com/cold-diffusion/cold/internal/envelope"
 	"github.com/cold-diffusion/cold/internal/faultinject"
 	"github.com/cold-diffusion/cold/internal/overload"
-	"github.com/cold-diffusion/cold/internal/stats"
 	"github.com/cold-diffusion/cold/internal/text"
 )
 
@@ -102,6 +101,10 @@ type Server struct {
 	// queries must carry explicit word ids.
 	data *corpus.Dataset
 
+	// itemScope resolves posts against data and checks shard ownership;
+	// scope adds the serving snapshot's model per request.
+	itemScope Scope
+
 	ctrl     *overload.Controller
 	ladder   *overload.Ladder // nil → brownout disabled (static mode)
 	batch    *batcher         // nil → micro-batching disabled
@@ -155,6 +158,12 @@ func New(cfg Config, mgr *Manager, data *corpus.Dataset) *Server {
 		data:  data,
 		start: time.Now(),
 	}
+	if data != nil {
+		s.itemScope.Post = s.post
+	}
+	if cfg.ShardOwner != nil {
+		s.itemScope.Owner = s.ownership
+	}
 	s.ctrl = overload.NewController(overload.Config{
 		Ceiling:  cfg.MaxInFlight,
 		Floor:    cfg.LimitFloor,
@@ -201,10 +210,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/model/reload", s.handleReload)
 	mux.HandleFunc("POST /v1/model/rollback", s.handleRollback)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
-	mux.Handle("POST /v1/predict/retweet", s.guard("retweet", s.handleRetweet))
-	mux.Handle("POST /v1/predict/link", s.guard("link", s.handleLink))
-	mux.Handle("POST /v1/predict/time", s.guard("time", s.handleTime))
-	mux.Handle("POST /v1/topics", s.guard("topics", s.handleTopics))
+	for _, rt := range Routes {
+		mux.Handle("POST "+rt.Path, s.guard(string(rt.Kind), s.scoreSingle(rt.Kind)))
+	}
 	mux.Handle("POST /v1/score/batch", s.guard("batch", s.handleScoreBatch))
 	mux.Handle("GET /v1/rank/{user}", s.guard("rank", s.handleRank))
 	if mh := s.cfg.Metrics.Handler(); mh != nil {
@@ -225,7 +233,7 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("GET /readyz", redirect("/v1/readyz"))
 	mux.Handle("POST /v1/predict/topics", redirect("/v1/topics"))
 
-	return envelope(mux)
+	return envelope.Middleware(mux)
 }
 
 // guardInfo travels through the request context so the inner handler
@@ -248,7 +256,7 @@ type guardInfo struct {
 // limiter feeds on.
 func (s *Server) guard(route string, h http.HandlerFunc) http.Handler {
 	mt := s.cfg.Metrics
-	def := defaultTier(route)
+	def := RouteTier(route)
 	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		gi, _ := r.Context().Value(ticketKey{}).(*guardInfo)
 		defer func() {
@@ -265,7 +273,7 @@ func (s *Server) guard(route string, h http.HandlerFunc) http.Handler {
 				s.panics.Add(1)
 				mt.panicked()
 				s.cfg.Logf("serve: panic in %s: %v", r.URL.Path, rec)
-				writeError(w, http.StatusInternalServerError, "internal",
+				envelope.WriteError(w, http.StatusInternalServerError, "internal",
 					fmt.Sprintf("internal error: %v", rec))
 			}
 		}()
@@ -275,7 +283,7 @@ func (s *Server) guard(route string, h http.HandlerFunc) http.Handler {
 	timed := http.TimeoutHandler(inner, s.cfg.RequestTimeout, timeoutBody)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() {
-			writeError(w, http.StatusServiceUnavailable, "draining", "server is draining")
+			envelope.WriteError(w, http.StatusServiceUnavailable, "draining", "server is draining")
 			return
 		}
 		tier := requestTier(r, def)
@@ -289,7 +297,7 @@ func (s *Server) guard(route string, h http.HandlerFunc) http.Handler {
 		// burning an admission slot or a queue place on it.
 		if hasDL && !time.Now().Before(deadline) {
 			s.ctrl.RecordShed(tier, overload.ReasonDeadlineUnmeetable)
-			writeError(w, http.StatusServiceUnavailable, "deadline_exceeded",
+			envelope.WriteError(w, http.StatusServiceUnavailable, "deadline_exceeded",
 				"request deadline already expired at admission")
 			return
 		}
@@ -374,109 +382,10 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 
 // ---- request/response plumbing ----
 
-// errorInfo is the single error shape every non-2xx response carries:
-// a stable machine-readable code, a human-readable message, and an
-// optional retry hint for 429/503.
-type errorInfo struct {
-	Code         string `json:"code"`
-	Message      string `json:"message"`
-	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
-}
-
-// errorBody is the shared JSON error envelope:
-// {"error":{"code":"...","message":"...","retry_after_ms":...}}.
-type errorBody struct {
-	Error errorInfo `json:"error"`
-}
-
 // timeoutBody is what http.TimeoutHandler writes on deadline. It is
 // already the envelope, and the envelope middleware re-stamps the
 // Content-Type (TimeoutHandler cannot set one).
 const timeoutBody = `{"error":{"code":"deadline_exceeded","message":"request deadline exceeded"}}`
-
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(body)
-}
-
-func writeError(w http.ResponseWriter, status int, code, msg string) {
-	writeJSON(w, status, errorBody{Error: errorInfo{Code: code, Message: msg}})
-}
-
-// envelope normalises every error response that didn't originate from
-// writeError — the mux's own plain-text 404/405 and the timeout
-// handler's 503 — into the shared JSON envelope. Responses that already
-// declare application/json pass through untouched.
-func envelope(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		next.ServeHTTP(&envelopeWriter{ResponseWriter: w}, r)
-	})
-}
-
-type envelopeWriter struct {
-	http.ResponseWriter
-	wroteHeader bool
-	intercepted bool // original (plain-text) body is being discarded
-}
-
-func (ew *envelopeWriter) WriteHeader(status int) {
-	if ew.wroteHeader {
-		return
-	}
-	ew.wroteHeader = true
-	ct := ew.Header().Get("Content-Type")
-	if status >= 400 && !strings.HasPrefix(ct, "application/json") {
-		ew.intercepted = true
-		ew.Header().Del("Content-Length")
-		ew.Header().Del("X-Content-Type-Options")
-		ew.Header().Set("Content-Type", "application/json")
-		ew.ResponseWriter.WriteHeader(status)
-		json.NewEncoder(ew.ResponseWriter).Encode(errorBody{Error: envelopeFor(status)})
-		return
-	}
-	ew.ResponseWriter.WriteHeader(status)
-}
-
-func (ew *envelopeWriter) Write(b []byte) (int, error) {
-	if !ew.wroteHeader {
-		ew.WriteHeader(http.StatusOK)
-	}
-	if ew.intercepted {
-		// Swallow the original non-JSON body; the envelope is written.
-		return len(b), nil
-	}
-	return ew.ResponseWriter.Write(b)
-}
-
-// envelopeFor maps an intercepted status to the envelope contents. The
-// server's own error paths write JSON directly, so what reaches here is
-// the mux's 404/405 and the timeout handler's 503.
-func envelopeFor(status int) errorInfo {
-	switch status {
-	case http.StatusNotFound:
-		return errorInfo{Code: "not_found", Message: "no such endpoint"}
-	case http.StatusMethodNotAllowed:
-		return errorInfo{Code: "method_not_allowed", Message: "method not allowed for this endpoint"}
-	case http.StatusServiceUnavailable:
-		return errorInfo{Code: "deadline_exceeded", Message: "request deadline exceeded"}
-	default:
-		return errorInfo{Code: "error", Message: http.StatusText(status)}
-	}
-}
-
-// predictRequest is the shared body of all prediction endpoints; each
-// handler reads the fields it needs.
-type predictRequest struct {
-	Publisher *int  `json:"publisher"`
-	Candidate *int  `json:"candidate"`
-	From      *int  `json:"from"`
-	To        *int  `json:"to"`
-	User      *int  `json:"user"`
-	Post      *int  `json:"post"`
-	Words     []int `json:"words"`
-	TopN      int   `json:"topn"`
-}
 
 // decode parses and bounds the request body.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) bool {
@@ -491,9 +400,20 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) bool {
 
 // reject answers a 400 input-validation failure and counts it.
 func (s *Server) reject(w http.ResponseWriter, msg string) {
+	ei := badRequest(msg)
+	envelope.WriteError(w, s.refuse(ei), ei.Code, ei.Message)
+}
+
+// refuse counts a refused request or item — a misroute or an input
+// error — and returns the status a single route answers it with.
+func (s *Server) refuse(ei *envelope.Error) int {
+	if ei.Code == "wrong_shard" {
+		s.cfg.Metrics.misrouted()
+		return http.StatusMisdirectedRequest
+	}
 	s.rejected.Add(1)
 	s.cfg.Metrics.rejectedOne()
-	writeError(w, http.StatusBadRequest, "bad_request", msg)
+	return http.StatusBadRequest
 }
 
 // snapshot returns the serving snapshot or answers 503. A degraded
@@ -502,7 +422,7 @@ func (s *Server) reject(w http.ResponseWriter, msg string) {
 func (s *Server) snapshot(w http.ResponseWriter) *Snapshot {
 	snap := s.mgr.Current()
 	if snap == nil {
-		writeError(w, http.StatusServiceUnavailable, "not_ready", "no model loaded")
+		envelope.WriteError(w, http.StatusServiceUnavailable, "not_ready", "no model loaded")
 		return nil
 	}
 	if snap.Degraded() {
@@ -511,119 +431,34 @@ func (s *Server) snapshot(w http.ResponseWriter) *Snapshot {
 	return snap
 }
 
-// userIndex validates a user index against the engine's user count
-// without writing anything — shared by the single-route helpers (which
-// reject the whole request) and the batch builder (which fails one
-// item).
-func userIndex(name string, v *int, info ModelInfo) (int, *errorInfo) {
-	if v == nil {
-		return 0, &errorInfo{Code: "bad_request", Message: "missing field " + name}
-	}
-	if *v < 0 || *v >= info.Users {
-		return 0, &errorInfo{Code: "bad_request",
-			Message: fmt.Sprintf("%s %d out of range [0,%d)", name, *v, info.Users)}
-	}
-	return *v, nil
+// scope is what items are validated against on this replica: the
+// snapshot's model plus the dataset and shard set up in New.
+func (s *Server) scope(snap *Snapshot) *Scope {
+	sc := s.itemScope
+	sc.Info = snap.Engine.Info()
+	return &sc
 }
 
-// ownership enforces shard ownership of the routing user: the user
-// whose behavioural state answers the query (candidate for retweet,
-// link source for link, the posting user otherwise). A non-nil return
-// means the router misrouted the item — answering from the wrong
-// shard's state would be silently wrong.
-func (s *Server) ownership(name string, user int) *errorInfo {
-	if s.cfg.ShardOwner == nil || s.cfg.ShardOwner(user) {
+// post resolves a post index into the loaded dataset.
+func (s *Server) post(p int) (text.BagOfWords, error) {
+	if p < 0 || p >= len(s.data.Posts) {
+		return text.BagOfWords{}, fmt.Errorf("post %d out of range [0,%d)", p, len(s.data.Posts))
+	}
+	return s.data.Posts[p].Words, nil
+}
+
+// ownership enforces shard ownership of a routing user. A non-nil
+// return means the router misrouted the query — answering from the
+// wrong shard's state would be silently wrong.
+func (s *Server) ownership(field string, user int) *envelope.Error {
+	if s.cfg.ShardOwner(user) {
 		return nil
 	}
-	return &errorInfo{
+	return &envelope.Error{
 		Code: "wrong_shard",
 		Message: fmt.Sprintf("%s %d is not owned by shard %d/%d",
-			name, user, s.cfg.ShardIndex, s.cfg.ShardCount),
+			field, user, s.cfg.ShardIndex, s.cfg.ShardCount),
 	}
-}
-
-// bagFor resolves post content without writing anything: explicit word
-// ids, or a post index into the loaded dataset.
-func (s *Server) bagFor(post *int, words []int, info ModelInfo) (text.BagOfWords, *errorInfo) {
-	bad := func(msg string) (text.BagOfWords, *errorInfo) {
-		return text.BagOfWords{}, &errorInfo{Code: "bad_request", Message: msg}
-	}
-	switch {
-	case words != nil:
-		for _, id := range words {
-			if id < 0 || (info.Vocab > 0 && id >= info.Vocab) {
-				return bad(fmt.Sprintf("word id %d out of range [0,%d)", id, info.Vocab))
-			}
-		}
-		return text.NewBagOfWords(words), nil
-	case post != nil:
-		if s.data == nil {
-			return bad("no dataset loaded on this server; pass words instead of a post index")
-		}
-		if *post < 0 || *post >= len(s.data.Posts) {
-			return bad(fmt.Sprintf("post %d out of range [0,%d)", *post, len(s.data.Posts)))
-		}
-		return s.data.Posts[*post].Words, nil
-	default:
-		return bad("need either post or words")
-	}
-}
-
-// user validates a user index against the engine, answering 400 itself.
-func (s *Server) user(w http.ResponseWriter, name string, v *int, info ModelInfo) (int, bool) {
-	u, ei := userIndex(name, v, info)
-	if ei != nil {
-		s.reject(w, ei.Message)
-		return 0, false
-	}
-	return u, true
-}
-
-// owned is the single-route ownership check: 421 on a misroute.
-func (s *Server) owned(w http.ResponseWriter, name string, user int) bool {
-	ei := s.ownership(name, user)
-	if ei == nil {
-		return true
-	}
-	s.cfg.Metrics.misrouted()
-	writeJSON(w, http.StatusMisdirectedRequest, errorBody{Error: *ei})
-	return false
-}
-
-// bag resolves the post content of a request, answering 400 itself.
-func (s *Server) bag(w http.ResponseWriter, req *predictRequest, info ModelInfo) (text.BagOfWords, bool) {
-	b, ei := s.bagFor(req.Post, req.Words, info)
-	if ei != nil {
-		s.reject(w, ei.Message)
-		return text.BagOfWords{}, false
-	}
-	return b, true
-}
-
-// ---- handlers ----
-
-type scoreResponse struct {
-	Score      float64 `json:"score"`
-	Generation uint64  `json:"generation"`
-	ModelKey   string  `json:"model_key,omitempty"`
-	Degraded   bool    `json:"degraded"`
-}
-
-type topicWeight struct {
-	Topic  int     `json:"topic"`
-	Weight float64 `json:"weight"`
-}
-
-// topTopics renders the topn heaviest entries of a posterior.
-func topTopics(post []float64, topn int) []topicWeight {
-	if topn <= 0 || topn > len(post) {
-		topn = min(3, len(post))
-	}
-	top := make([]topicWeight, 0, topn)
-	for _, k := range stats.ArgTopK(post, topn) {
-		top = append(top, topicWeight{Topic: k, Weight: post[k]})
-	}
-	return top
 }
 
 // scoreFailed writes the envelope for a hot-path failure: the batcher
@@ -632,288 +467,77 @@ func topTopics(post []float64, topn int) []topicWeight {
 func (s *Server) scoreFailed(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, errNotReady):
-		writeError(w, http.StatusServiceUnavailable, "not_ready", "no model loaded")
+		envelope.WriteError(w, http.StatusServiceUnavailable, "not_ready", "no model loaded")
 	case errors.Is(err, ErrDegraded):
-		writeError(w, http.StatusServiceUnavailable, "degraded",
+		envelope.WriteError(w, http.StatusServiceUnavailable, "degraded",
 			"topic posterior unavailable in degraded mode (no topic model loaded)")
 	case errors.Is(err, ErrBadItem):
 		s.reject(w, err.Error())
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusServiceUnavailable, "deadline_exceeded", "request deadline exceeded")
+		envelope.WriteError(w, http.StatusServiceUnavailable, "deadline_exceeded", "request deadline exceeded")
 	default:
-		writeError(w, http.StatusInternalServerError, "internal", err.Error())
+		envelope.WriteError(w, http.StatusInternalServerError, "internal", err.Error())
 	}
 }
 
-// The single-score handlers are thin adapters over the batch hot path:
-// they validate exactly as before, build one ScoreRequest, and submit
-// it through the micro-batcher (scoreOne), so single-call traffic gets
-// the same coalescing and caching as /v1/score/batch. The response
-// carries the generation the batch was actually scored against.
-
-func (s *Server) handleRetweet(w http.ResponseWriter, r *http.Request) {
-	snap := s.snapshot(w)
-	if snap == nil {
-		return
-	}
-	var req predictRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	info := snap.Engine.Info()
-	pub, ok := s.user(w, "publisher", req.Publisher, info)
-	if !ok {
-		return
-	}
-	cand, ok := s.user(w, "candidate", req.Candidate, info)
-	if !ok {
-		return
-	}
-	if !s.owned(w, "candidate", cand) {
-		return
-	}
-	words, ok := s.bag(w, &req, info)
-	if !ok {
-		return
-	}
-	res, fsnap, err := s.scoreOne(r.Context(),
-		ScoreRequest{Kind: KindRetweet, Publisher: pub, Candidate: cand, Words: words})
-	if err == nil {
-		err = res.Err
-	}
-	if err != nil {
-		s.scoreFailed(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, scoreResponse{
-		Score:      res.Score,
-		Generation: fsnap.Generation,
-		ModelKey:   fsnap.Key,
-		Degraded:   fsnap.Degraded(),
-	})
-}
-
-func (s *Server) handleLink(w http.ResponseWriter, r *http.Request) {
-	snap := s.snapshot(w)
-	if snap == nil {
-		return
-	}
-	var req predictRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	info := snap.Engine.Info()
-	from, ok := s.user(w, "from", req.From, info)
-	if !ok {
-		return
-	}
-	if !s.owned(w, "from", from) {
-		return
-	}
-	to, ok := s.user(w, "to", req.To, info)
-	if !ok {
-		return
-	}
-	res, fsnap, err := s.scoreOne(r.Context(), ScoreRequest{Kind: KindLink, From: from, To: to})
-	if err == nil {
-		err = res.Err
-	}
-	if err != nil {
-		s.scoreFailed(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, scoreResponse{
-		Score:      res.Score,
-		Generation: fsnap.Generation,
-		ModelKey:   fsnap.Key,
-		Degraded:   fsnap.Degraded(),
-	})
-}
-
-func (s *Server) handleTime(w http.ResponseWriter, r *http.Request) {
-	snap := s.snapshot(w)
-	if snap == nil {
-		return
-	}
-	var req predictRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	info := snap.Engine.Info()
-	user, ok := s.user(w, "user", req.User, info)
-	if !ok {
-		return
-	}
-	if !s.owned(w, "user", user) {
-		return
-	}
-	words, ok := s.bag(w, &req, info)
-	if !ok {
-		return
-	}
-	res, fsnap, err := s.scoreOne(r.Context(), ScoreRequest{Kind: KindTime, User: user, Words: words})
-	if err == nil {
-		err = res.Err
-	}
-	if err != nil {
-		s.scoreFailed(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, struct {
-		Slice      int    `json:"slice"`
-		Generation uint64 `json:"generation"`
-		ModelKey   string `json:"model_key,omitempty"`
-		Degraded   bool   `json:"degraded"`
-	}{res.Slice, fsnap.Generation, fsnap.Key, fsnap.Degraded()})
-}
-
-func (s *Server) handleTopics(w http.ResponseWriter, r *http.Request) {
-	snap := s.snapshot(w)
-	if snap == nil {
-		return
-	}
-	var req predictRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	info := snap.Engine.Info()
-	user, ok := s.user(w, "user", req.User, info)
-	if !ok {
-		return
-	}
-	if !s.owned(w, "user", user) {
-		return
-	}
-	words, ok := s.bag(w, &req, info)
-	if !ok {
-		return
-	}
-	res, fsnap, err := s.scoreOne(r.Context(), ScoreRequest{Kind: KindTopics, User: user, Words: words})
-	if err == nil {
-		err = res.Err
-	}
-	if err != nil {
-		s.scoreFailed(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, struct {
-		Topics     []topicWeight `json:"topics"`
-		Generation uint64        `json:"generation"`
-		ModelKey   string        `json:"model_key,omitempty"`
-	}{topTopics(res.Topics, req.TopN), fsnap.Generation, fsnap.Key})
-}
-
-// ---- batch endpoint ----
-
-// batchScoreItem is the wire shape of one POST /v1/score/batch item: a
-// kind discriminator plus the union of the single-route fields.
-type batchScoreItem struct {
-	Kind      string `json:"kind"`
-	Publisher *int   `json:"publisher,omitempty"`
-	Candidate *int   `json:"candidate,omitempty"`
-	From      *int   `json:"from,omitempty"`
-	To        *int   `json:"to,omitempty"`
-	User      *int   `json:"user,omitempty"`
-	Post      *int   `json:"post,omitempty"`
-	Words     []int  `json:"words,omitempty"`
-	TopN      int    `json:"topn,omitempty"`
-}
-
-// batchItemResult is the per-item slot of the batch response: status
-// "ok" with the kind's value field, or status "error" with the same
-// error shape the single routes use in their envelope.
-type batchItemResult struct {
-	Status string        `json:"status"`
-	Score  *float64      `json:"score,omitempty"`
-	Slice  *int          `json:"slice,omitempty"`
-	Topics []topicWeight `json:"topics,omitempty"`
-	Error  *errorInfo    `json:"error,omitempty"`
-}
-
-// buildItem validates one wire item into a ScoreRequest, mirroring the
-// single-route validation order (fields, then ownership, then words).
-func (s *Server) buildItem(it *batchScoreItem, info ModelInfo) (ScoreRequest, *errorInfo) {
-	req := ScoreRequest{Kind: Kind(it.Kind)}
-	switch req.Kind {
-	case KindRetweet:
-		pub, ei := userIndex("publisher", it.Publisher, info)
-		if ei != nil {
-			return req, ei
-		}
-		cand, ei := userIndex("candidate", it.Candidate, info)
-		if ei != nil {
-			return req, ei
-		}
-		if ei := s.ownership("candidate", cand); ei != nil {
-			return req, ei
-		}
-		words, ei := s.bagFor(it.Post, it.Words, info)
-		if ei != nil {
-			return req, ei
-		}
-		req.Publisher, req.Candidate, req.Words = pub, cand, words
-	case KindLink:
-		from, ei := userIndex("from", it.From, info)
-		if ei != nil {
-			return req, ei
-		}
-		if ei := s.ownership("from", from); ei != nil {
-			return req, ei
-		}
-		to, ei := userIndex("to", it.To, info)
-		if ei != nil {
-			return req, ei
-		}
-		req.From, req.To = from, to
-	case KindTime, KindTopics:
-		user, ei := userIndex("user", it.User, info)
-		if ei != nil {
-			return req, ei
-		}
-		if ei := s.ownership("user", user); ei != nil {
-			return req, ei
-		}
-		words, ei := s.bagFor(it.Post, it.Words, info)
-		if ei != nil {
-			return req, ei
-		}
-		req.User, req.Words = user, words
-	default:
-		return req, &errorInfo{Code: "bad_request",
-			Message: fmt.Sprintf("unknown kind %q (want retweet|link|time|topics)", it.Kind)}
-	}
-	return req, nil
-}
-
-// itemErrorInfo maps a per-item engine error onto the envelope codes
-// the single routes use for the same condition.
-func itemErrorInfo(err error) *errorInfo {
+// itemError maps a per-item engine error onto the envelope codes the
+// single routes use for the same condition.
+func itemError(err error) *envelope.Error {
 	switch {
 	case errors.Is(err, ErrDegraded):
-		return &errorInfo{Code: "degraded", Message: err.Error()}
+		return &envelope.Error{Code: "degraded", Message: err.Error()}
 	case errors.Is(err, ErrBadItem):
-		return &errorInfo{Code: "bad_request", Message: err.Error()}
+		return badRequest(err.Error())
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return &errorInfo{Code: "deadline_exceeded", Message: "request deadline exceeded"}
+		return &envelope.Error{Code: "deadline_exceeded", Message: "request deadline exceeded"}
 	default:
-		return &errorInfo{Code: "internal", Message: err.Error()}
+		return &envelope.Error{Code: "internal", Message: err.Error()}
 	}
 }
 
-// renderItem converts one engine result slot to its wire shape.
-func renderItem(kind Kind, res *ScoreResult, topn int) batchItemResult {
-	if res.Err != nil {
-		return batchItemResult{Status: "error", Error: itemErrorInfo(res.Err)}
-	}
-	switch kind {
-	case KindRetweet, KindLink:
-		v := res.Score
-		return batchItemResult{Status: "ok", Score: &v}
-	case KindTime:
-		v := res.Slice
-		return batchItemResult{Status: "ok", Slice: &v}
-	default: // KindTopics
-		return batchItemResult{Status: "ok", Topics: topTopics(res.Topics, topn)}
+// ---- handlers ----
+
+// pathKind takes the "kind" key of a single-route body: the path names
+// the kind, so the key is refused exactly as an unknown field is.
+type pathKind struct{}
+
+func (pathKind) UnmarshalJSON([]byte) error { return errors.New(`json: unknown field "kind"`) }
+
+// scoreSingle serves the single-score route of kind: a one-item view of
+// /v1/score/batch, validated by the same Build and submitted through
+// the micro-batcher (scoreOne), so single-call traffic gets the same
+// coalescing and caching. The response carries the generation the
+// batch was actually scored against.
+func (s *Server) scoreSingle(kind Kind) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		snap := s.snapshot(w)
+		if snap == nil {
+			return
+		}
+		var body struct {
+			ScoreItem
+			Kind pathKind `json:"kind"`
+		}
+		if !s.decode(w, r, &body) {
+			return
+		}
+		it := &body.ScoreItem
+		it.Kind = kind
+		req, ei := it.Build(s.scope(snap))
+		if ei != nil {
+			envelope.WriteError(w, s.refuse(ei), ei.Code, ei.Message)
+			return
+		}
+		res, fsnap, err := s.scoreOne(r.Context(), req)
+		if err == nil {
+			err = res.Err
+		}
+		if err != nil {
+			s.scoreFailed(w, err)
+			return
+		}
+		envelope.WriteJSON(w, http.StatusOK,
+			Single(kind, &res, it.TopN, fsnap.Generation, fsnap.Key, fsnap.Degraded()))
 	}
 }
 
@@ -933,7 +557,7 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
 		snap = fb
 	}
 	var body struct {
-		Items []batchScoreItem `json:"items"`
+		Items []ScoreItem `json:"items"`
 	}
 	if !s.decode(w, r, &body) {
 		return
@@ -947,20 +571,15 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
 			len(body.Items), s.cfg.MaxBatchItems))
 		return
 	}
-	info := snap.Engine.Info()
-	results := make([]batchItemResult, len(body.Items))
+	sc := s.scope(snap)
+	results := make([]ItemResult, len(body.Items))
 	reqs := make([]ScoreRequest, 0, len(body.Items))
 	idx := make([]int, 0, len(body.Items))
 	for i := range body.Items {
-		req, ei := s.buildItem(&body.Items[i], info)
+		req, ei := body.Items[i].Build(sc)
 		if ei != nil {
-			if ei.Code == "wrong_shard" {
-				s.cfg.Metrics.misrouted()
-			} else {
-				s.rejected.Add(1)
-				s.cfg.Metrics.rejectedOne()
-			}
-			results[i] = batchItemResult{Status: "error", Error: ei}
+			s.refuse(ei)
+			results[i] = ErrorSlot(ei)
 			continue
 		}
 		reqs = append(reqs, req)
@@ -968,13 +587,13 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	scored := s.scoreBatch(r.Context(), snap, reqs)
 	for j, i := range idx {
-		results[i] = renderItem(reqs[j].Kind, &scored[j], body.Items[i].TopN)
+		results[i] = Slot(reqs[j].Kind, &scored[j], body.Items[i].TopN)
 	}
-	writeJSON(w, http.StatusOK, struct {
-		Results    []batchItemResult `json:"results"`
-		Generation uint64            `json:"generation"`
-		ModelKey   string            `json:"model_key,omitempty"`
-		Degraded   bool              `json:"degraded"`
+	envelope.WriteJSON(w, http.StatusOK, struct {
+		Results    []ItemResult `json:"results"`
+		Generation uint64       `json:"generation"`
+		ModelKey   string       `json:"model_key,omitempty"`
+		Degraded   bool         `json:"degraded"`
 	}{results, snap.Generation, snap.Key, snap.Degraded()})
 }
 
@@ -995,8 +614,11 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, fmt.Sprintf("user %d out of range [0,%d)", user, info.Users))
 		return
 	}
-	if !s.owned(w, "user", user) {
-		return
+	if s.cfg.ShardOwner != nil {
+		if ei := s.ownership("user", user); ei != nil {
+			envelope.WriteError(w, s.refuse(ei), ei.Code, ei.Message)
+			return
+		}
 	}
 	n := 0
 	if q := r.URL.Query().Get("k"); q != "" {
@@ -1014,17 +636,17 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	cands, err := snap.Engine.Rank(user, n)
 	switch {
 	case errors.Is(err, ErrDegraded):
-		writeError(w, http.StatusServiceUnavailable, "degraded",
+		envelope.WriteError(w, http.StatusServiceUnavailable, "degraded",
 			"candidate rankings unavailable in degraded mode (no full model loaded)")
 		return
 	case errors.Is(err, ErrBadItem):
 		s.reject(w, err.Error())
 		return
 	case err != nil:
-		writeError(w, http.StatusInternalServerError, "internal", err.Error())
+		envelope.WriteError(w, http.StatusInternalServerError, "internal", err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, struct {
+	envelope.WriteJSON(w, http.StatusOK, struct {
 		User       int                    `json:"user"`
 		Candidates []core.RankedCandidate `json:"candidates"`
 		Generation uint64                 `json:"generation"`
@@ -1072,7 +694,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if s.draining.Load() {
 		body.Status, body.Draining, code = "draining", true, http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, body)
+	envelope.WriteJSON(w, code, body)
 }
 
 // readyState summarises the lifecycle for orchestration probes.
@@ -1096,7 +718,7 @@ func (s *Server) readyState() (string, int) {
 
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	state, code := s.readyState()
-	writeJSON(w, code, struct {
+	envelope.WriteJSON(w, code, struct {
 		State string `json:"state"`
 		Status
 	}{state, s.mgr.Status()})
@@ -1107,7 +729,7 @@ func (s *Server) handleModel(w http.ResponseWriter, _ *http.Request) {
 	if snap == nil {
 		return
 	}
-	writeJSON(w, http.StatusOK, struct {
+	envelope.WriteJSON(w, http.StatusOK, struct {
 		ModelInfo
 		Source     string    `json:"source"`
 		Generation uint64    `json:"generation"`
@@ -1117,18 +739,18 @@ func (s *Server) handleModel(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleReload(w http.ResponseWriter, _ *http.Request) {
 	if err := s.mgr.Reload(); err != nil {
-		writeError(w, http.StatusBadGateway, "reload_rejected", err.Error())
+		envelope.WriteError(w, http.StatusBadGateway, "reload_rejected", err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, s.mgr.Status())
+	envelope.WriteJSON(w, http.StatusOK, s.mgr.Status())
 }
 
 func (s *Server) handleRollback(w http.ResponseWriter, _ *http.Request) {
 	if err := s.mgr.Rollback(); err != nil {
-		writeError(w, http.StatusConflict, "rollback_unavailable", err.Error())
+		envelope.WriteError(w, http.StatusConflict, "rollback_unavailable", err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, s.mgr.Status())
+	envelope.WriteJSON(w, http.StatusOK, s.mgr.Status())
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -1139,7 +761,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	for _, n := range st.Sheds {
 		shed += n
 	}
-	writeJSON(w, http.StatusOK, struct {
+	envelope.WriteJSON(w, http.StatusOK, struct {
 		Served        uint64         `json:"served"`
 		Shed          uint64         `json:"shed"`
 		Panics        uint64         `json:"panics"`
