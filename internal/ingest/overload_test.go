@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/cold-diffusion/cold/internal/envelope"
 	"github.com/cold-diffusion/cold/internal/obs"
 )
 
@@ -129,7 +128,7 @@ func TestServerIngestDeadlineHeader(t *testing.T) {
 	defer ts.Close()
 	defer ing.Drain(context.Background())
 
-	send := func(deadline string, rec PostRecord) (*http.Response, envelope.Body) {
+	send := func(deadline string, rec PostRecord) (*http.Response, errorBody) {
 		t.Helper()
 		raw, err := json.Marshal(rec)
 		if err != nil {
@@ -147,28 +146,28 @@ func TestServerIngestDeadlineHeader(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var env envelope.Body
+		var envelope errorBody
 		if resp.StatusCode >= 400 {
-			decodeBody(t, resp, &env)
+			decodeBody(t, resp, &envelope)
 		} else {
 			resp.Body.Close()
 		}
-		return resp, env
+		return resp, envelope
 	}
 
 	// Already expired at admission: rejected before any durability work.
-	resp, env := send("0", streamRecord(base, 0))
-	if resp.StatusCode != http.StatusServiceUnavailable || env.Error.Code != "deadline_exceeded" {
-		t.Fatalf("expired deadline: %s code %q, want 503 deadline_exceeded", resp.Status, env.Error.Code)
+	resp, envelope := send("0", streamRecord(base, 0))
+	if resp.StatusCode != http.StatusServiceUnavailable || envelope.Error.Code != "deadline_exceeded" {
+		t.Fatalf("expired deadline: %s code %q, want 503 deadline_exceeded", resp.Status, envelope.Error.Code)
 	}
 	if st := ing.Status(); st.LastSeq != 0 {
 		t.Fatalf("expired request reached the WAL (seq %d); must be rejected at admission", st.LastSeq)
 	}
 
 	// Malformed header: client error.
-	resp, env = send("soon", streamRecord(base, 0))
-	if resp.StatusCode != http.StatusBadRequest || env.Error.Code != "bad_request" {
-		t.Fatalf("malformed deadline: %s code %q, want 400 bad_request", resp.Status, env.Error.Code)
+	resp, envelope = send("soon", streamRecord(base, 0))
+	if resp.StatusCode != http.StatusBadRequest || envelope.Error.Code != "bad_request" {
+		t.Fatalf("malformed deadline: %s code %q, want 400 bad_request", resp.Status, envelope.Error.Code)
 	}
 
 	// A generous deadline admits normally...
@@ -178,9 +177,9 @@ func TestServerIngestDeadlineHeader(t *testing.T) {
 	// ...and with the queue now full, a short one bounds the blocking
 	// wait instead of parking the connection forever.
 	start := time.Now()
-	resp, env = send("50", streamRecord(base, 1))
-	if resp.StatusCode != http.StatusServiceUnavailable || env.Error.Code != "deadline_exceeded" {
-		t.Fatalf("blocked past deadline: %s code %q, want 503 deadline_exceeded", resp.Status, env.Error.Code)
+	resp, envelope = send("50", streamRecord(base, 1))
+	if resp.StatusCode != http.StatusServiceUnavailable || envelope.Error.Code != "deadline_exceeded" {
+		t.Fatalf("blocked past deadline: %s code %q, want 503 deadline_exceeded", resp.Status, envelope.Error.Code)
 	}
 	if waited := time.Since(start); waited > 2*time.Second {
 		t.Fatalf("blocked submit held the connection %s past a 50ms deadline", waited)

@@ -17,6 +17,9 @@ import (
 	"github.com/cold-diffusion/cold/internal/obs"
 )
 
+// errorBody is the error envelope the tests decode non-2xx bodies into.
+type errorBody = envelope.Body
+
 func postJSON(t *testing.T, url string, body any) *http.Response {
 	t.Helper()
 	raw, err := json.Marshal(body)
@@ -63,13 +66,13 @@ func TestServerIngestEndpoint(t *testing.T) {
 	bad := streamRecord(base, 1)
 	bad.Words.IDs[0] = base.V + 7
 	resp = postJSON(t, ts.URL+"/v1/ingest", bad)
-	var env envelope.Body
-	decodeBody(t, resp, &env)
-	if resp.StatusCode != http.StatusBadRequest || env.Error.Code != "bad_request" {
-		t.Fatalf("invalid record: %s, code %q", resp.Status, env.Error.Code)
+	var envelope errorBody
+	decodeBody(t, resp, &envelope)
+	if resp.StatusCode != http.StatusBadRequest || envelope.Error.Code != "bad_request" {
+		t.Fatalf("invalid record: %s, code %q", resp.Status, envelope.Error.Code)
 	}
-	if !strings.Contains(env.Error.Message, "out of range") {
-		t.Fatalf("error message %q lacks the validation detail", env.Error.Message)
+	if !strings.Contains(envelope.Error.Message, "out of range") {
+		t.Fatalf("error message %q lacks the validation detail", envelope.Error.Message)
 	}
 
 	// Malformed JSON and unknown fields are 400s too.
@@ -77,7 +80,7 @@ func TestServerIngestEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decodeBody(t, resp, &env)
+	decodeBody(t, resp, &envelope)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("truncated JSON: %s", resp.Status)
 	}
@@ -87,9 +90,9 @@ func TestServerIngestEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decodeBody(t, resp, &env)
-	if resp.StatusCode != http.StatusNotFound || env.Error.Code != "not_found" {
-		t.Fatalf("unknown path: %s, code %q", resp.Status, env.Error.Code)
+	decodeBody(t, resp, &envelope)
+	if resp.StatusCode != http.StatusNotFound || envelope.Error.Code != "not_found" {
+		t.Fatalf("unknown path: %s, code %q", resp.Status, envelope.Error.Code)
 	}
 
 	// Status reflects the acked record.
@@ -144,12 +147,12 @@ func TestServerShedsWithRetryAfter(t *testing.T) {
 	if err != nil || sec < 2 || sec > 5 {
 		t.Fatalf("Retry-After header = %q, want an integer in [2,5]", resp.Header.Get("Retry-After"))
 	}
-	var env envelope.Body
-	decodeBody(t, resp, &env)
-	if env.Error.Code != "overloaded" {
-		t.Fatalf("shed env = %+v", env.Error)
+	var envelope errorBody
+	decodeBody(t, resp, &envelope)
+	if envelope.Error.Code != "overloaded" {
+		t.Fatalf("shed envelope = %+v", envelope.Error)
 	}
-	if ms := env.Error.RetryAfterMS; ms < 1500 || ms > 4500 {
+	if ms := envelope.Error.RetryAfterMS; ms < 1500 || ms > 4500 {
 		t.Fatalf("retry_after_ms = %d, want within the jitter window [1500,4500]", ms)
 	}
 }

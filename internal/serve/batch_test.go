@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"github.com/cold-diffusion/cold/internal/core"
-	"github.com/cold-diffusion/cold/internal/envelope"
 	"github.com/cold-diffusion/cold/internal/obs"
 	"github.com/cold-diffusion/cold/internal/stats"
 	"github.com/cold-diffusion/cold/internal/text"
@@ -283,12 +282,12 @@ func TestScoreBatchRejectsEmptyAndOversize(t *testing.T) {
 	mgr, _ := loadedManager(t)
 	ts := startServer(t, Config{MaxBatchItems: 2}, mgr, true)
 
-	var e envelope.Body
+	var e errorBody
 	if code, _ := ts.call("POST", "/v1/score/batch", map[string]any{"items": []any{}}, &e); code != 400 {
 		t.Fatalf("empty batch = %d %+v, want 400", code, e.Error)
 	}
 	link := map[string]any{"kind": "link", "from": 0, "to": 1}
-	e = envelope.Body{}
+	e = errorBody{}
 	code, _ := ts.call("POST", "/v1/score/batch",
 		map[string]any{"items": []any{link, link, link}}, &e)
 	if code != 400 || e.Error.Code != "bad_request" {
@@ -463,15 +462,15 @@ func TestRankEndpoint(t *testing.T) {
 		t.Fatalf("k=2 prefix = %+v, want %+v", rep.Candidates, want[:2])
 	}
 
-	var e envelope.Body
+	var e errorBody
 	if code, _ := ts.call("GET", "/v1/rank/notanumber", nil, &e); code != 400 {
 		t.Fatalf("bad user segment = %d, want 400", code)
 	}
-	e = envelope.Body{}
+	e = errorBody{}
 	if code, _ := ts.call("GET", "/v1/rank/99999", nil, &e); code != 400 {
 		t.Fatalf("out-of-range user = %d, want 400", code)
 	}
-	e = envelope.Body{}
+	e = errorBody{}
 	if code, _ := ts.call("GET", "/v1/rank/1?k=-3", nil, &e); code != 400 {
 		t.Fatalf("bad k = %d, want 400", code)
 	}
@@ -491,7 +490,7 @@ func TestRankDegraded(t *testing.T) {
 	mgr.SetFallback(NewFallbackEngine(fb))
 	ts := startServer(t, Config{}, mgr, true)
 
-	var e envelope.Body
+	var e errorBody
 	if code, _ := ts.call("GET", "/v1/rank/1", nil, &e); code != 503 || e.Error.Code != "degraded" {
 		t.Fatalf("degraded rank = %d %+v, want 503 degraded", code, e.Error)
 	}

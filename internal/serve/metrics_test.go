@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"github.com/cold-diffusion/cold/internal/core"
-	"github.com/cold-diffusion/cold/internal/envelope"
 	"github.com/cold-diffusion/cold/internal/faultinject"
 	"github.com/cold-diffusion/cold/internal/obs"
 )
@@ -66,15 +65,15 @@ func TestErrorEnvelopeEverywhere(t *testing.T) {
 	mgr, _ := loadedManager(t)
 	ts := startServer(t, Config{}, mgr, true)
 
-	var e envelope.Body
+	var e errorBody
 	if code, _ := ts.call("GET", "/v1/no/such/route", nil, &e); code != 404 || e.Error.Code != "not_found" {
 		t.Errorf("unknown route = %d %+v, want 404 not_found", code, e.Error)
 	}
-	e = envelope.Body{}
+	e = errorBody{}
 	if code, _ := ts.call("DELETE", "/v1/predict/retweet", nil, &e); code != 405 || e.Error.Code != "method_not_allowed" {
 		t.Errorf("wrong method = %d %+v, want 405 method_not_allowed", code, e.Error)
 	}
-	e = envelope.Body{}
+	e = errorBody{}
 	if code, _ := ts.call("POST", "/v1/predict/retweet", map[string]any{}, &e); code != 400 || e.Error.Code != "bad_request" {
 		t.Errorf("empty body = %d %+v, want 400 bad_request", code, e.Error)
 	}
@@ -88,7 +87,7 @@ func TestTimeoutBodyUsesEnvelope(t *testing.T) {
 	ts := startServer(t, Config{RequestTimeout: 50 * time.Millisecond}, mgr, true)
 	faultinject.Set(faultinject.ServeHandler, func(...any) { time.Sleep(300 * time.Millisecond) })
 
-	var e envelope.Body
+	var e errorBody
 	code, hdr := ts.call("POST", "/v1/predict/retweet",
 		map[string]any{"publisher": 0, "candidate": 1, "post": 0}, &e)
 	if code != http.StatusServiceUnavailable || e.Error.Code != "deadline_exceeded" {
@@ -181,7 +180,7 @@ func TestMetricsReflectShedAndDegraded(t *testing.T) {
 		ts.call("POST", "/v1/predict/retweet", body, nil)
 	}()
 	<-started
-	var e envelope.Body
+	var e errorBody
 	code, _ := ts.call("POST", "/v1/predict/retweet", body, &e)
 	if code != http.StatusTooManyRequests || e.Error.Code != "overloaded" {
 		t.Fatalf("overload = %d %+v, want 429 overloaded", code, e.Error)

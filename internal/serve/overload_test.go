@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"github.com/cold-diffusion/cold/internal/core"
-	"github.com/cold-diffusion/cold/internal/envelope"
 	"github.com/cold-diffusion/cold/internal/faultinject"
 	"github.com/cold-diffusion/cold/internal/overload"
 )
@@ -73,7 +72,7 @@ func TestDeadlineExpiredAtAdmission(t *testing.T) {
 	srv, ts := startOverloadServer(t, Config{}, mgr)
 
 	body := map[string]any{"publisher": 0, "candidate": 1, "post": 0}
-	var e envelope.Body
+	var e errorBody
 	code, _ := ts.callH("POST", "/v1/predict/retweet", body,
 		map[string]string{overload.DeadlineHeader: "0"}, &e)
 	if code != http.StatusServiceUnavailable || e.Error.Code != "deadline_exceeded" {
@@ -111,7 +110,7 @@ func TestNeverServesPastDeadline(t *testing.T) {
 		time.Sleep(80 * time.Millisecond)
 	})
 	body := map[string]any{"publisher": 0, "candidate": 1, "post": 0}
-	var e envelope.Body
+	var e errorBody
 	code, _ := ts.callH("POST", "/v1/predict/retweet", body,
 		map[string]string{overload.DeadlineHeader: "30"}, &e)
 	if code == http.StatusOK {
@@ -147,7 +146,7 @@ func TestPriorityQueueAndStatsExposure(t *testing.T) {
 	<-started // the single slot is parked
 
 	// A queued background request with a short deadline expires in queue.
-	var e envelope.Body
+	var e errorBody
 	code, _ := ts.callH("POST", "/v1/predict/retweet", body, map[string]string{
 		overload.PriorityHeader: "background",
 		overload.DeadlineHeader: "40",
@@ -239,7 +238,7 @@ func TestBrownoutLadderEffects(t *testing.T) {
 	// L3: the rank route sheds; a background-tier single prediction is
 	// answered from the popularity prior (degraded), interactive is not.
 	srv.Brownout().Force(3)
-	var e envelope.Body
+	var e errorBody
 	if code, _ := ts.call("GET", "/v1/rank/0", nil, &e); code != http.StatusServiceUnavailable ||
 		e.Error.Code != "brownout" {
 		t.Fatalf("rank at L3 = %d %+v, want 503 brownout", code, e.Error)

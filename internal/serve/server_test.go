@@ -23,6 +23,17 @@ import (
 	"github.com/cold-diffusion/cold/internal/faultinject"
 )
 
+// errorBody is the error envelope the tests decode non-2xx bodies into.
+type errorBody = envelope.Body
+
+// scoreResponse decodes the body of the retweet and link routes.
+type scoreResponse struct {
+	Score      float64 `json:"score"`
+	Generation uint64  `json:"generation"`
+	ModelKey   string  `json:"model_key,omitempty"`
+	Degraded   bool    `json:"degraded"`
+}
+
 // testServer runs a Server on a loopback listener and tears it down
 // (via drain) when the test ends.
 type testServer struct {
@@ -108,14 +119,6 @@ func loadedManager(t *testing.T) (*Manager, string) {
 	return mgr, path
 }
 
-// scoreResponse decodes the body of the retweet and link routes.
-type scoreResponse struct {
-	Score      float64 `json:"score"`
-	Generation uint64  `json:"generation"`
-	ModelKey   string  `json:"model_key,omitempty"`
-	Degraded   bool    `json:"degraded"`
-}
-
 func TestEndpointsHappyPath(t *testing.T) {
 	mgr, _ := loadedManager(t)
 	ts := startServer(t, Config{}, mgr, true)
@@ -191,7 +194,7 @@ func TestInputValidation(t *testing.T) {
 		"bad word id":        map[string]any{"publisher": 0, "candidate": 1, "words": []int{-4}},
 		"unknown field":      map[string]any{"publisher": 0, "candidate": 1, "post": 0, "bogus": true},
 	} {
-		var e envelope.Body
+		var e errorBody
 		if code, _ := ts.call("POST", "/v1/predict/retweet", body, &e); code != 400 || e.Error.Message == "" || e.Error.Code != "bad_request" {
 			t.Errorf("%s: code %d, error %q; want 400 with message", name, code, e.Error)
 		}
@@ -234,7 +237,7 @@ func TestShedsLoadAndRecovers(t *testing.T) {
 	<-started
 	<-started // both slots taken and parked inside the handler
 
-	var e envelope.Body
+	var e errorBody
 	code, hdr := ts.call("POST", "/v1/predict/retweet", body, &e)
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("overload request = %d, want 429", code)
@@ -271,7 +274,7 @@ func TestPanicContainedPerRequest(t *testing.T) {
 	faultinject.Set(faultinject.ServeHandler, func(...any) { panic("injected handler bug") })
 
 	body := map[string]any{"publisher": 0, "candidate": 1, "post": 0}
-	var e envelope.Body
+	var e errorBody
 	code, _ := ts.call("POST", "/v1/predict/retweet", body, &e)
 	if code != 500 || !strings.Contains(e.Error.Message, "injected handler bug") {
 		t.Fatalf("panicking request = %d %+v, want 500", code, e)
@@ -289,7 +292,7 @@ func TestSlowHandlerHitsDeadline(t *testing.T) {
 	ts := startServer(t, Config{RequestTimeout: 50 * time.Millisecond}, mgr, true)
 	faultinject.Set(faultinject.ServeHandler, func(...any) { time.Sleep(300 * time.Millisecond) })
 
-	var e envelope.Body
+	var e errorBody
 	start := time.Now()
 	code, _ := ts.call("POST", "/v1/predict/retweet",
 		map[string]any{"publisher": 0, "candidate": 1, "post": 0}, &e)
@@ -417,7 +420,7 @@ func TestCorruptReloadUnderTraffic(t *testing.T) {
 	// Corrupt the model on disk and force a reload: rejected, old model
 	// keeps serving.
 	corruptFile(t, path)
-	var e envelope.Body
+	var e errorBody
 	if code, _ := ts.call("POST", "/v1/model/reload", nil, &e); code != http.StatusBadGateway || e.Error.Message == "" {
 		t.Errorf("corrupt reload = %d %+v, want 502", code, e)
 	}
@@ -494,7 +497,7 @@ func TestDegradedModeServes(t *testing.T) {
 		t.Fatalf("degraded time = %d %+v", code, slice)
 	}
 	// Topics genuinely need the model: honest 503, not silent garbage.
-	var e envelope.Body
+	var e errorBody
 	if code, _ := ts.call("POST", "/v1/topics", map[string]any{"user": 0, "post": 0}, &e); code != 503 ||
 		!strings.Contains(e.Error.Message, "degraded") {
 		t.Fatalf("degraded topics = %d %+v, want 503", code, e)
@@ -522,7 +525,7 @@ func TestNotReadyBeforeAnyModel(t *testing.T) {
 	if code, _ := ts.call("GET", "/v1/readyz", nil, &ready); code != 503 || ready.State != "starting" {
 		t.Fatalf("readyz = %d %+v, want 503 starting", code, ready)
 	}
-	var e envelope.Body
+	var e errorBody
 	if code, _ := ts.call("POST", "/v1/predict/retweet",
 		map[string]any{"publisher": 0, "candidate": 1, "words": []int{1}}, &e); code != 503 {
 		t.Fatalf("predict before ready = %d, want 503", code)
